@@ -1,7 +1,7 @@
 """Validate the expected-profit formula with repeated simulated markets.
 
-Every trial samples fresh customer valuations, runs the full auction, and
-records realized profit; the mean should land within a few standard errors
+Every trial samples fresh customer valuations, sells at the optimal posted
+price, and records realized profit; the mean should land within a few standard errors
 of the analytic expectation, and tighten as the market grows.
 """
 

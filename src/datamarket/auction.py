@@ -2,7 +2,8 @@
 
 The service has unlimited supply, so revenue maximization collapses to a
 single threshold price charged to every customer whose virtual bid clears
-zero.  Winner determination is one linear scan over the bids.
+zero.  posted_price() is the array kernel that decides winners and the
+price; run_auction() adapts sealed CustomerBid records to it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .market import (
     UtilityCurve,
     ValuationModel,
     data_cost,
-    data_utility,
 )
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "virtual_valuation",
     "inverse_virtual",
     "optimal_price",
+    "posted_price",
     "run_auction",
     "customer_utility",
 ]
@@ -45,15 +46,17 @@ class MechanismResult:
     virtual_bids: np.ndarray
 
 
-def virtual_valuation(v: float, model: ValuationModel) -> float:
-    """A bid minus its information rent (1 - F(v)) / f(v).
+def virtual_valuation(v, model: ValuationModel):
+    """A bid minus its information rent (1 - F(v)) / f(v); vectorizes over v.
 
     For valuations uniform on [0, s] this is 2*v - s, monotone in v.
     """
     s = model.support_max
-    if not 0.0 <= v <= s:
-        raise ValueError(f"valuation {v} outside the support [0, {s}]")
-    return 2.0 * v - s
+    arr = np.asarray(v, dtype=float)
+    outside = arr[~((arr >= 0.0) & (arr <= s))]
+    if outside.size:
+        raise ValueError(f"valuation {outside[0]} outside the support [0, {s}]")
+    return (2.0 * arr - s)[()]
 
 
 def inverse_virtual(y: float, model: ValuationModel) -> float:
@@ -70,9 +73,18 @@ def optimal_price(curve: UtilityCurve, q: float, gamma: float) -> float:
     This is the zero of the virtual valuation, i.e. the smallest bid that
     still wins.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return data_utility(q, curve) * gamma / 2.0
+    return inverse_virtual(0.0, ValuationModel.from_market(curve, q, gamma))
+
+
+def posted_price(values: np.ndarray, model: ValuationModel) -> tuple[np.ndarray, float]:
+    """Winner mask and price of the revenue-optimal sale to valuations from model.
+
+    The price is the zero of the virtual valuation.  Virtual values are
+    monotone, so exactly the values at or above the price clear zero (ties and
+    values above the support included); every winner pays the price.
+    """
+    price = inverse_virtual(0.0, model)
+    return values >= price, price
 
 
 def run_auction(
@@ -83,11 +95,10 @@ def run_auction(
 ) -> MechanismResult:
     """Sell the service to every customer whose bid clears the threshold price.
 
-    A bid above the valuation support is clamped for the virtual-bid
-    computation but kept verbatim in the caller's records; clamping never
-    changes who wins or what they pay.  Ties at the threshold win.  Winners
-    all pay the threshold; gross profit is total payments minus the cost of
-    the q data units.  O(M): unlimited supply needs no sorting.
+    Winners and the price come from posted_price().  A bid above the valuation
+    support is clamped for the virtual-bid computation but kept verbatim in the
+    caller's records.  Gross profit is winners times the price minus the cost
+    of the q data units.
     """
     if len(bids) == 0:
         raise ValueError("bids must be non-empty")
@@ -95,15 +106,11 @@ def run_auction(
     ids = tuple(b.customer_id for b in bids)
     values = np.fromiter((b.bid for b in bids), dtype=float, count=len(bids))
 
-    s = model.support_max
-    clamped = np.minimum(values, s)
-    virtual = 2.0 * clamped - s
-    price = 0.5 * s
-    winners = virtual >= 0.0
-
+    winners, price = posted_price(values, model)
+    virtual = virtual_valuation(np.minimum(values, model.support_max), model)
     payments = np.where(winners, price, 0.0)
     allocations = winners.astype(np.int8)
-    gross = float(payments.sum()) - cost
+    gross = np.count_nonzero(winners) * price - cost
     for arr in (allocations, payments, virtual):
         arr.setflags(write=False)
     outcome = AuctionOutcome(

@@ -235,3 +235,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

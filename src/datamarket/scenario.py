@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -56,10 +57,12 @@ class ScenarioConfig:
             raise ValueError(
                 f"scenario field q: must lie in (0, {self.N}], got {self.q}"
             )
-        if self.tau is not None and self.tau <= 0:
+        if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(
-                f"scenario field tau: must be positive, got {self.tau}"
+                f"scenario field tau: must be positive and finite, got {self.tau}"
             )
+        if self.seed < 0:
+            raise ValueError(f"scenario field seed: must be >= 0, got {self.seed}")
         # performance plays the role of an accuracy-like rate even though the
         # curve itself is never clamped; flag scenarios that leave [0, 1]
         if data_utility(self.N, self.curve) > 1.0:

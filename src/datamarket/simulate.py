@@ -1,8 +1,10 @@
 """Monte-Carlo market harness and one-parameter sweeps.
 
-simulate() replays full truthful auctions and compares realized profit with
-the analytic expectation.  sweep() tabulates analytic and simulated profit
-along a grid over one of {price, q, k, gamma}, producing plot-ready rows.
+simulate() replays the optimal posted-price sale on seeded valuation draws and
+compares realized profit with the analytic expectation.  sweep() tabulates
+analytic and simulated profit along a grid over one of {price, q, k, gamma},
+producing plot-ready rows.  Both run on one numpy array of M valuations per
+trial, with no per-customer objects, through the same trial loop.
 """
 
 from __future__ import annotations
@@ -12,14 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .auction import optimal_price, run_auction
-from .market import (
-    CustomerBid,
-    ValuationModel,
-    data_cost,
-    sample_valuations,
-    valuation_cdf,
-)
+from .auction import optimal_price
+from .market import ValuationModel, data_cost, sample_valuations, valuation_cdf
 from .optimize import expected_profit, optimal_data_size
 from .scenario import ScenarioConfig
 
@@ -63,8 +59,22 @@ class SweepResultRow:
     empirical_std: float
 
 
+def _monte_carlo(model, price, M, cost, first_seed, trials):
+    """Profits n_winners*price - cost of posted-price sales, with mean and std.
+
+    Trial t draws M valuations with seed first_seed + t; every customer valued
+    at or above the price buys.  The std is the sample one (0 for one trial).
+    """
+    profits = np.empty(trials)
+    for t in range(trials):
+        values = sample_valuations(M, model, seed=first_seed + t)
+        profits[t] = np.count_nonzero(values >= price) * price - cost
+    std = float(profits.std(ddof=1)) if trials > 1 else 0.0
+    return profits, float(profits.mean()), std
+
+
 def simulate(config: ScenarioConfig) -> SimulationReport:
-    """Run repeated truthful auctions and compare profit with its expectation.
+    """Replay the optimal posted-price sale and compare profit with its expectation.
 
     Trial t draws valuations with seed + t, so every trial is independently
     replayable and the whole report is deterministic for a fixed config.
@@ -75,22 +85,17 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
     curve = config.curve
     model = config.model()
     analytic = expected_profit(config.q, params, curve)
+    price = optimal_price(curve, config.q, params.gamma)
+    cost = data_cost(config.q, params.k)
 
-    ids = tuple(f"c{i}" for i in range(params.M))
-    profits = np.empty(config.trials)
-    for t in range(config.trials):
-        values = sample_valuations(params.M, model, seed=config.seed + t)
-        bids = [CustomerBid(cid, float(v)) for cid, v in zip(ids, values)]
-        result = run_auction(bids, model, q=config.q, k=params.k)
-        profits[t] = result.outcome.gross_profit
-
-    mean = float(profits.mean())
-    std = float(profits.std(ddof=1)) if config.trials > 1 else 0.0
+    profits, mean, std = _monte_carlo(
+        model, price, params.M, cost, config.seed, config.trials
+    )
     se = std / math.sqrt(config.trials)
     return SimulationReport(
         M=params.M,
         q=config.q,
-        threshold_price=optimal_price(curve, config.q, params.gamma),
+        threshold_price=price,
         trials=config.trials,
         seed=config.seed,
         analytic_profit=analytic,
@@ -102,26 +107,60 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
     )
 
 
-def _mc_profit(
-    model: ValuationModel,
-    price: float,
-    M: int,
-    cost: float,
-    config: ScenarioConfig,
-    row: int,
-) -> tuple[float, float]:
-    """Mean and std of realized posted-price profit over config.trials runs.
+def _point_function(config: ScenarioConfig, parameter: str, lo: float, hi: float):
+    """Check the bounds the swept parameter needs; return value -> point.
 
-    Row r, trial t draws with seed + r*trials + t, extending the per-trial
-    seeding scheme across grid rows.
+    A point is (model, posted price, data cost, analytic profit, reported p*,
+    reported q*), or None where the purchase is rejected.  Row-independent
+    quantities are computed once, here.
     """
-    base = config.seed + row * config.trials
-    profits = np.empty(config.trials)
-    for t in range(config.trials):
-        values = sample_valuations(M, model, seed=base + t)
-        profits[t] = float((values >= price).sum()) * price - cost
-    std = float(profits.std(ddof=1)) if config.trials > 1 else 0.0
-    return float(profits.mean()), std
+    params, curve = config.market, config.curve
+    if parameter == "price":
+        if config.q is None:
+            raise ValueError("scenario field q: required for a price sweep")
+        if lo < 0:
+            raise ValueError(f"price sweep needs lo >= 0, got {lo}")
+        model = config.model()
+        p_star = optimal_price(curve, config.q, params.gamma)
+        q_star = optimal_data_size(params, curve).q_star
+        cost = data_cost(config.q, params.k)
+
+        def price_point(p):
+            analytic = params.M * (1.0 - valuation_cdf(p, model)) * p - cost
+            return model, p, cost, analytic, p_star, q_star
+
+        return price_point
+
+    if parameter == "q":
+        if not (lo > 0 and hi <= params.N):
+            raise ValueError(
+                f"q sweep must stay within (0, {params.N}], got [{lo}, {hi}]"
+            )
+        q_star = optimal_data_size(params, curve).q_star
+
+        def size_point(q):
+            model = ValuationModel.from_market(curve, q, params.gamma)
+            price = optimal_price(curve, q, params.gamma)
+            analytic = expected_profit(q, params, curve)
+            return model, price, data_cost(q, params.k), analytic, price, q_star
+
+        return size_point
+
+    # k and gamma sweeps re-optimize the purchase at every grid value
+    if lo <= 0:
+        raise ValueError(f"{parameter} sweep needs lo > 0, got {lo}")
+
+    def market_point(value):
+        swept = replace(params, **{parameter: value})
+        report = optimal_data_size(swept, curve)
+        if report.rejected:
+            return None
+        q, price = report.q_star, report.price_at_q_star
+        model = ValuationModel.from_market(curve, q, swept.gamma)
+        analytic = report.expected_profit_at_q_star
+        return model, price, data_cost(q, swept.k), analytic, price, q
+
+    return market_point
 
 
 def sweep(
@@ -137,85 +176,30 @@ def sweep(
                 purchase, reporting optimal profit, price, and data size
                 (all zero on rejected rows, where nothing is bought or sold).
     Rows follow grid order; Monte-Carlo columns use config.trials runs each.
+    Row r, trial t draws with seed + r*trials + t, extending simulate()'s
+    per-trial seeding scheme across grid rows.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"sweep bound {name} must be finite, got {bound}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
+    point_at = _point_function(config, parameter, lo, hi)
 
-    params = config.market
-    curve = config.curve
-    grid = np.linspace(lo, hi, int(steps))
     rows: list[SweepResultRow] = []
-
-    if parameter == "price":
-        if config.q is None:
-            raise ValueError("scenario field q: required for a price sweep")
-        if lo < 0:
-            raise ValueError(f"price sweep needs lo >= 0, got {lo}")
-        model = config.model()
-        p_star = optimal_price(curve, config.q, params.gamma)
-        base = optimal_data_size(params, curve)
-        cost = data_cost(config.q, params.k)
-        for r, p in enumerate(grid):
-            p = float(p)
-            analytic = params.M * (1.0 - valuation_cdf(p, model)) * p - cost
-            emp_mean, emp_std = _mc_profit(model, p, params.M, cost, config, row=r)
-            rows.append(
-                SweepResultRow(p, analytic, p_star, base.q_star, emp_mean, emp_std)
-            )
-        return rows
-
-    if parameter == "q":
-        if not (lo > 0 and hi <= params.N):
-            raise ValueError(
-                f"q sweep must stay within (0, {params.N}], got [{lo}, {hi}]"
-            )
-        base = optimal_data_size(params, curve)
-        for r, q in enumerate(grid):
-            q = float(q)
-            model = ValuationModel.from_market(curve, q, params.gamma)
-            p_star = optimal_price(curve, q, params.gamma)
-            analytic = expected_profit(q, params, curve)
-            emp_mean, emp_std = _mc_profit(
-                model, p_star, params.M, data_cost(q, params.k), config, row=r
-            )
-            rows.append(
-                SweepResultRow(q, analytic, p_star, base.q_star, emp_mean, emp_std)
-            )
-        return rows
-
-    # k and gamma sweeps re-optimize the purchase at every grid value
-    if lo <= 0:
-        raise ValueError(f"{parameter} sweep needs lo > 0, got {lo}")
-    for r, value in enumerate(grid):
-        value = float(value)
-        swept = replace(params, **{parameter: value})
-        report = optimal_data_size(swept, curve)
-        if report.rejected:
+    for r, value in enumerate(np.linspace(lo, hi, int(steps)).tolist()):
+        point = point_at(value)
+        if point is None:
             rows.append(SweepResultRow(value, 0.0, 0.0, 0.0, 0.0, 0.0))
             continue
-        model = ValuationModel.from_market(curve, report.q_star, swept.gamma)
-        emp_mean, emp_std = _mc_profit(
-            model,
-            report.price_at_q_star,
-            swept.M,
-            data_cost(report.q_star, swept.k),
-            config,
-            row=r,
-        )
-        rows.append(
-            SweepResultRow(
-                value,
-                report.expected_profit_at_q_star,
-                report.price_at_q_star,
-                report.q_star,
-                emp_mean,
-                emp_std,
-            )
-        )
+        model, price, cost, *reported = point
+        seed = config.seed + r * config.trials
+        _, mean, std = _monte_carlo(model, price, config.M, cost, seed, config.trials)
+        rows.append(SweepResultRow(value, *reported, mean, std))
     return rows

@@ -17,6 +17,7 @@ from datamarket import (
     valuation_pdf,
     virtual_valuation,
 )
+from datamarket.auction import posted_price
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
 TAXI_MODEL = ValuationModel.from_market(TAXI_CURVE, 50.0, 1.0)
@@ -183,6 +184,40 @@ class TestRunAuction:
     def test_empty_bids_rejected(self):
         with pytest.raises(ValueError):
             run_auction([], TAXI_MODEL, q=50.0, k=0.5)
+
+
+class TestKernelAgreesWithAdapter:
+    # bid fractions of the support: ties at s/2, the support's top, bids
+    # above the support and zero bids, mixed with arbitrary fractions
+    fractions = st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+            st.floats(min_value=0.0, max_value=2.0),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+
+    @given(
+        support=st.floats(min_value=0.01, max_value=50.0),
+        fracs=fractions,
+        all_zero=st.booleans(),
+    )
+    def test_run_auction_matches_posted_price(self, support, fracs, all_zero):
+        model = ValuationModel(support_max=support)
+        values = np.array([0.0 if all_zero else f * support for f in fracs])
+        result = run_auction(_bids(*values.tolist()), model, q=10.0, k=0.3)
+        winners, price = posted_price(values, model)
+
+        # reference: the virtual value of each support-clamped bid clears zero
+        virtual = 2.0 * np.minimum(values, support) - support
+        assert np.array_equal(winners, virtual >= 0.0)
+        assert price == 0.5 * support == result.threshold_price
+        assert np.array_equal(result.virtual_bids, virtual)
+        outcome = result.outcome
+        assert np.array_equal(outcome.allocations, winners.astype(np.int8))
+        assert np.array_equal(outcome.payments, np.where(winners, price, 0.0))
+        assert outcome.gross_profit == winners.sum() * price - data_cost(10.0, 0.3)
 
 
 class TestCustomerUtility:

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from datamarket import cli
+import datamarket
+from datamarket import cli, taxi_scenario_path
 from datamarket.cli import cli_main
 
 SCENARIO = """M = 300
@@ -133,6 +140,10 @@ class TestSimulate:
         assert cli_main(["simulate", "--config", scenario_file]) == 0
         assert capsys.readouterr().out == first
 
+    def test_negative_seed_override_rejected(self, scenario_file, capsys):
+        assert cli_main(["simulate", "--config", scenario_file, "--seed", "-1"]) == 1
+        assert "field seed" in capsys.readouterr().err
+
     def test_seed_override_changes_output(self, scenario_file, capsys):
         assert cli_main(["simulate", "--config", scenario_file, "--seed", "99"]) == 0
         first = capsys.readouterr().out
@@ -208,6 +219,12 @@ class TestExitCodes:
         )
         assert code == 1
         assert "lo < hi" in capsys.readouterr().err
+        code = cli_main(
+            ["sweep", "--config", scenario_file, "--param", "price",
+             "--lo", "0", "--hi", "inf", "--steps", "4"]
+        )
+        assert code == 1
+        assert "bound hi" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
@@ -220,3 +237,43 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "simulate", boom)
         assert cli_main(["simulate", "--config", scenario_file]) == 2
         assert "internal error" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(datamarket.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "datamarket.cli", "optimize",
+             "--config", str(taxi_scenario_path())],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "q_star = " in proc.stdout
+
+
+# stdout recorded before the Monte-Carlo harness moved onto valuation arrays;
+# refactors of the mechanism or the trial loop must reproduce it byte for byte
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden_taxi.json").read_text(encoding="utf-8")
+)
+SEEDS = ("0", "7")
+GOLDEN_ARGS = {
+    f"simulate-seed{seed}": ["simulate", "--trials", "20", "--seed", seed]
+    for seed in SEEDS
+}
+for param, lo, hi in (("q", "1", "100"), ("k", "0.05", "2"), ("gamma", "0.5", "2"),
+                      ("price", "0", "0.5")):
+    for seed in SEEDS:
+        GOLDEN_ARGS[f"sweep-{param}-seed{seed}"] = [
+            "sweep", "--param", param, "--lo", lo, "--hi", hi,
+            "--steps", "5", "--trials", "5", "--seed", seed,
+        ]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
+def test_golden_stdout_is_byte_identical(name, capsys):
+    command, *flags = GOLDEN_ARGS[name]
+    assert cli_main([command, "--config", str(taxi_scenario_path()), *flags]) == 0
+    assert capsys.readouterr().out == GOLDEN[name]

@@ -88,8 +88,11 @@ class TestValidation:
             ScenarioConfig(**self.base(q=101.0))
         with pytest.raises(ValueError, match="field q"):
             ScenarioConfig(**self.base(q=0.0))
-        with pytest.raises(ValueError, match="field tau"):
-            ScenarioConfig(**self.base(tau=0.0))
+        for tau in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="scenario field tau"):
+                ScenarioConfig(**self.base(tau=tau))
+        with pytest.raises(ValueError, match="scenario field seed"):
+            ScenarioConfig(**self.base(seed=-1))
 
     def test_warns_when_performance_exceeds_one(self):
         with pytest.warns(UserWarning, match="exceeds 1"):

@@ -78,6 +78,8 @@ class TestSweepValidation:
             sweep(small_config(), "price", 1.0, 1.0, 10)
         with pytest.raises(ValueError, match="grid points"):
             sweep(small_config(), "price", 0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="bound hi"):
+            sweep(small_config(), "price", 0.0, float("inf"), 10)
 
     def test_price_sweep_requires_q(self):
         with pytest.raises(ValueError, match="field q"):
