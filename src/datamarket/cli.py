@@ -155,10 +155,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _with_overrides(load_scenario(args.config), args)
     rows = sweep(config, args.param, args.lo, args.hi, args.steps)
-    if args.out:
-        csvio.write_sweep_csv(rows, args.out)
-    else:
-        csvio.write_sweep_csv(rows, sys.stdout)
+    csvio.write_sweep_csv(rows, args.out or sys.stdout)
     return 0
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from .fitting import ExperimentPoint, PredictionRecord
 from .market import CustomerBid
@@ -28,6 +28,7 @@ __all__ = [
 BID_HEADER = ("customer_id", "bid")
 PREDICTION_HEADER = ("y_true", "y_pred")
 POINT_HEADER = ("q", "performance")
+# the SweepResultRow field names, in column order
 SWEEP_HEADER = (
     "value",
     "expected_profit",
@@ -43,69 +44,64 @@ def format_sig(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _read_rows(path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
+def _read_records(path, header: Sequence[str], record: Callable) -> list:
+    """record(lineno, *fields) of every data row; its ValueError gets path:line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or [cell.strip() for cell in first] != list(header):
             raise ValueError(f"{path}: expected header {','.join(header)!r}")
-        rows = []
+        records = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append((lineno, row))
-    return rows
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                records.append(record(lineno, *row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not records:
+        raise ValueError(f"{path}: no data rows after the header")
+    return records
 
 
-def _parse_float(path, lineno: int, name: str, value: str) -> float:
+def _number(name: str, value: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ValueError(
-            f"{path}:{lineno}: field {name} must be a number, got {value!r}"
-        ) from None
+        raise ValueError(f"field {name} must be a number, got {value!r}") from None
 
 
 def read_bids(path) -> list[CustomerBid]:
-    """Load sealed bids from a `customer_id,bid` CSV file."""
-    bids = []
-    for lineno, (cid, raw) in _read_rows(path, BID_HEADER):
-        value = _parse_float(path, lineno, "bid", raw)
-        try:
-            bids.append(CustomerBid(customer_id=cid, bid=value))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return bids
+    """Load sealed bids from a `customer_id,bid` CSV file; ids must be unique."""
+    first_line: dict[str, int] = {}
+
+    def bid(lineno, cid, value):
+        first = first_line.setdefault(cid, lineno)
+        if first != lineno:
+            raise ValueError(f"duplicate customer_id {cid!r}, first on line {first}")
+        return CustomerBid(customer_id=cid, bid=_number("bid", value))
+
+    return _read_records(path, BID_HEADER, bid)
 
 
 def read_predictions(path) -> list[PredictionRecord]:
     """Load prediction pairs from a `y_true,y_pred` CSV file."""
-    records = []
-    for lineno, (y_true, y_pred) in _read_rows(path, PREDICTION_HEADER):
-        records.append(
-            PredictionRecord(
-                y_true=_parse_float(path, lineno, "y_true", y_true),
-                y_pred=_parse_float(path, lineno, "y_pred", y_pred),
-            )
-        )
-    return records
+
+    def record(_, y_true, y_pred):
+        return PredictionRecord(_number("y_true", y_true), _number("y_pred", y_pred))
+
+    return _read_records(path, PREDICTION_HEADER, record)
 
 
 def read_experiment_points(path) -> list[ExperimentPoint]:
     """Load experiment points from a `q,performance` CSV file."""
-    points = []
-    for lineno, (q, alpha) in _read_rows(path, POINT_HEADER):
-        size = _parse_float(path, lineno, "q", q)
-        perf = _parse_float(path, lineno, "performance", alpha)
-        try:
-            points.append(ExperimentPoint(q=size, alpha=perf))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return points
+
+    def point(_, q, alpha):
+        return ExperimentPoint(q=_number("q", q), alpha=_number("performance", alpha))
+
+    return _read_records(path, POINT_HEADER, point)
 
 
 def write_sweep_csv(rows: Iterable, out: IO[str] | str | Path) -> None:
@@ -116,16 +112,7 @@ def write_sweep_csv(rows: Iterable, out: IO[str] | str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
         for row in rows:
-            writer.writerow(
-                [
-                    format_sig(row.value),
-                    format_sig(row.expected_profit),
-                    format_sig(row.optimal_price),
-                    format_sig(row.optimal_q),
-                    format_sig(row.empirical_mean),
-                    format_sig(row.empirical_std),
-                ]
-            )
+            writer.writerow([format_sig(getattr(row, name)) for name in SWEEP_HEADER])
     finally:
         if own:
             fh.close()

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import UtilityCurve, data_utility
+from .market import UtilityCurve, data_utility, require_positive
 
 __all__ = [
     "PredictionRecord",
@@ -43,8 +43,7 @@ class ExperimentPoint:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.q) and self.q > 0):
-            raise ValueError(f"data size must be positive and finite, got {self.q}")
+        require_positive("data size", self.q)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"performance must lie in [0, 1], got {self.alpha}")
 
@@ -67,8 +66,7 @@ def satisfaction_rate(records: Sequence[PredictionRecord], tau: float) -> float:
     """Fraction of predictions with absolute error strictly below tau."""
     if len(records) == 0:
         raise ValueError("records must be non-empty")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tau}")
+    require_positive("tolerance", tau)
     hits = sum(1 for r in records if abs(r.y_true - r.y_pred) < tau)
     return hits / len(records)
 
@@ -110,5 +108,6 @@ def evaluate_fit(curve: UtilityCurve, points: Sequence[ExperimentPoint]) -> floa
     """Root-mean-square residual of a curve against experiment points."""
     if len(points) == 0:
         raise ValueError("points must be non-empty")
-    resid = [p.alpha - data_utility(p.q, curve) for p in points]
-    return float(np.sqrt(np.mean(np.square(resid))))
+    q = np.fromiter((p.q for p in points), dtype=float, count=len(points))
+    alpha = np.fromiter((p.alpha for p in points), dtype=float, count=len(points))
+    return float(np.sqrt(np.mean(np.square(alpha - data_utility(q, curve)))))

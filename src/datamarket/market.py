@@ -40,10 +40,9 @@ class UtilityCurve:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(
-                f"curve coefficients must be finite, got a={self.a}, b={self.b}"
-            )
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,13 @@ class MarketParams:
     N: float
 
     def __post_init__(self):
-        if self.M != int(self.M) or self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M!r}")
+        require_positive("M", self.M)
+        if self.M != int(self.M):
+            raise ValueError(f"M: must be an integer, got {self.M!r}")
         object.__setattr__(self, "M", int(self.M))
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"k must be positive and finite, got {self.k}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not (math.isfinite(self.N) and self.N > 0):
-            raise ValueError(f"N must be positive and finite, got {self.N}")
+        require_positive("k", self.k)
+        require_positive("gamma", self.gamma)
+        require_positive("N", self.N)
 
 
 @dataclass(frozen=True)
@@ -84,16 +81,12 @@ class ValuationModel:
     support_max: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.support_max) and self.support_max > 0):
-            raise ValueError(
-                f"support_max must be positive and finite, got {self.support_max}"
-            )
+        require_positive("support_max", self.support_max)
 
     @classmethod
     def from_market(cls, curve: UtilityCurve, q: float, gamma: float) -> "ValuationModel":
         """Valuation distribution for a service built from q data units."""
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        require_positive("gamma", gamma)
         return cls(support_max=data_utility(q, curve) * gamma)
 
 
@@ -105,11 +98,7 @@ class CustomerBid:
     bid: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.bid) and self.bid >= 0):
-            raise ValueError(
-                f"bid must be non-negative and finite, got {self.bid} "
-                f"(customer {self.customer_id!r})"
-            )
+        require_positive("bid", self.bid, True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,25 +132,47 @@ class AuctionOutcome:
             raise KeyError(f"unknown customer {customer_id!r}") from None
 
 
-def data_cost(q: float, k: float) -> float:
-    """Cost of buying q data units at unit cost k."""
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"k must be positive and finite, got {k}")
-    if not (math.isfinite(q) and q >= 0):
-        raise ValueError(f"data size must be non-negative and finite, got {q}")
-    return k * q
+def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise a ValueError naming `name` unless value is finite and > 0 (>= 0).
+
+    Scalar only: per-row record constructors call it, so it stays free of
+    numpy.  Arrays go through _positive_array.
+    """
+    if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+        kind = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name}: must be {kind} and finite, got {value}")
 
 
-def data_utility(q: float, curve: UtilityCurve) -> float:
-    """Service performance a + b*ln(q) at data size q > 0.
+def _positive_array(name: str, values, allow_zero: bool = False) -> np.ndarray:
+    """values as a float array, checked by require_positive on its min and max.
+
+    Both reductions propagate NaN, so a NaN anywhere fails the check.
+    """
+    arr = np.asarray(values, dtype=float)
+    for bound in (arr.min(), arr.max()):
+        require_positive(name, float(bound), allow_zero)
+    return arr
+
+
+def _unwrap(out: np.ndarray):
+    """A Python float for a 0-d result (from a scalar input), else the array."""
+    return float(out) if out.ndim == 0 else out
+
+
+def data_cost(q, k: float):
+    """Cost k*q of buying q data units at unit cost k; q may be an array."""
+    require_positive("k", k)
+    return _unwrap(k * _positive_array("data size", q, True))
+
+
+def data_utility(q, curve: UtilityCurve):
+    """Service performance a + b*ln(q) at data size q > 0; q may be an array.
 
     q = 0 means "no service" and is a case for callers, not for the curve.
     The value is deliberately not clamped to [0, 1]: the profit formulas use
     the raw logarithm, and clamping would break their closed forms.
     """
-    if not (math.isfinite(q) and q > 0):
-        raise ValueError(f"data size must be positive and finite, got {q}")
-    return curve.a + curve.b * math.log(q)
+    return _unwrap(curve.a + curve.b * np.log(_positive_array("data size", q)))
 
 
 def valuation_pdf(v, model: ValuationModel):
@@ -177,12 +188,7 @@ def valuation_cdf(v, model: ValuationModel):
 
     Accepts scalars or arrays.
     """
-    s = model.support_max
-    if isinstance(v, (int, float)):  # fast scalar path, hot in grid searches
-        if v < 0.0:
-            return 0.0
-        return v / s if v < s else 1.0
-    return np.clip(np.asarray(v, dtype=float) / s, 0.0, 1.0)
+    return _unwrap(np.clip(np.asarray(v, dtype=float) / model.support_max, 0.0, 1.0))
 
 
 def sample_valuations(M: int, model: ValuationModel, seed: int) -> np.ndarray:

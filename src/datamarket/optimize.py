@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .auction import optimal_price
-from .market import MarketParams, UtilityCurve, data_cost, data_utility
+from .market import (
+    MarketParams,
+    UtilityCurve,
+    _positive_array,
+    _unwrap,
+    data_cost,
+    data_utility,
+    require_positive,
+)
 
 __all__ = [
     "ProfitReport",
@@ -34,26 +41,22 @@ class ProfitReport:
     rejected: bool
 
 
-def _require_positive_slope(curve: UtilityCurve) -> None:
-    if curve.b <= 0:
-        raise ValueError(
-            f"profit optimization needs a positive utility-curve slope, got b={curve.b}"
-        )
-
-
-def expected_profit(q: float, params: MarketParams, curve: UtilityCurve) -> float:
+def expected_profit(q, params: MarketParams, curve: UtilityCurve):
     """Expected gross profit at data size q: M*gamma*r(q)/4 - k*q, and 0 at q=0.
 
     At the optimal posted price, half the customers buy and each pays half
-    the valuation support, hence the quarter factor.
+    the valuation support, hence the quarter factor.  q may be a scalar
+    (giving a float) or an array of sizes in [0, N].
     """
-    _require_positive_slope(curve)
-    if not (math.isfinite(q) and 0 <= q <= params.N):
-        raise ValueError(f"data size must lie in [0, {params.N}], got {q}")
-    if q == 0:
-        return 0.0
-    revenue = params.M * params.gamma * data_utility(q, curve) / 4.0
-    return revenue - data_cost(q, params.k)
+    require_positive("utility-curve slope b", curve.b)
+    qs = _positive_array("data size", q, True)
+    if qs.max() > params.N:
+        raise ValueError(f"data size must lie in [0, {params.N}], got {qs.max()}")
+    bought = qs > 0
+    # r(q) is undefined at q = 0; the placeholder 1 is masked out below
+    r = data_utility(np.where(bought, qs, 1.0), curve)
+    revenue = params.M * params.gamma * r / 4.0
+    return _unwrap(np.where(bought, revenue - data_cost(qs, params.k), 0.0))
 
 
 def optimal_data_size(params: MarketParams, curve: UtilityCurve) -> ProfitReport:
@@ -64,7 +67,7 @@ def optimal_data_size(params: MarketParams, curve: UtilityCurve) -> ProfitReport
     is the global maximizer there and the provider buys iff profit at it is
     strictly positive.
     """
-    _require_positive_slope(curve)
+    require_positive("utility-curve slope b", curve.b)
     q_plus = params.M * params.gamma * curve.b / (4.0 * params.k)
     q_plus = min(q_plus, params.N)
     profit = expected_profit(q_plus, params, curve)
@@ -82,9 +85,8 @@ def optimal_data_size(params: MarketParams, curve: UtilityCurve) -> ProfitReport
 
 def concavity_check(params: MarketParams, curve: UtilityCurve, q: float) -> float:
     """Second derivative of expected profit at q: -M*gamma*b/(4*q^2), never > 0."""
-    _require_positive_slope(curve)
-    if not (math.isfinite(q) and q > 0):
-        raise ValueError(f"data size must be positive and finite, got {q}")
+    require_positive("utility-curve slope b", curve.b)
+    require_positive("data size", q)
     return -params.M * params.gamma * curve.b / (4.0 * q * q)
 
 
@@ -94,20 +96,20 @@ def grid_argmax(
     """Maximize f over a uniform grid on [lo, hi].
 
     Returns (argmax, max value); on exact ties the smallest grid point wins.
-    f may either map scalars to scalars or evaluate a whole grid array at
-    once; the vectorized form is tried first.
+    f evaluates the whole grid at once: it takes the array of grid points and
+    returns an array of the same shape (the closed forms accept arrays).
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
     xs = np.linspace(lo, hi, int(steps))
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
-            raise TypeError("objective is not grid-vectorized")
-    except Exception:
-        ys = np.fromiter((f(float(x)) for x in xs), dtype=float, count=xs.size)
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ValueError(
+            f"objective must evaluate the whole grid: got shape {ys.shape} "
+            f"for {xs.shape} grid points"
+        )
     if not np.all(np.isfinite(ys)):
         bad = float(xs[~np.isfinite(ys)][0])
         raise ValueError(f"objective is not finite at {bad}")

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .market import MarketParams, UtilityCurve, ValuationModel, data_utility
+from .market import (
+    MarketParams,
+    UtilityCurve,
+    ValuationModel,
+    data_utility,
+    require_positive,
+)
 
 __all__ = [
     "ScenarioConfig",
@@ -44,25 +49,21 @@ class ScenarioConfig:
     trials: int = 100
 
     def __post_init__(self):
-        # delegate to the domain types so messages carry the field name
-        MarketParams(M=self.M, k=self.k, gamma=self.gamma, N=self.N)
-        UtilityCurve(a=self.a, b=self.b)
-        if self.b <= 0:
-            raise ValueError(f"scenario field b: slope must be positive, got {self.b}")
-        if self.trials < 1:
-            raise ValueError(
-                f"scenario field trials: must be >= 1, got {self.trials}"
-            )
-        if self.q is not None and not 0 < self.q <= self.N:
-            raise ValueError(
-                f"scenario field q: must lie in (0, {self.N}], got {self.q}"
-            )
-        if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(
-                f"scenario field tau: must be positive and finite, got {self.tau}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"scenario field seed: must be >= 0, got {self.seed}")
+        # every check, the domain types' included, raises "<field>: ..."
+        try:
+            MarketParams(M=self.M, k=self.k, gamma=self.gamma, N=self.N)
+            UtilityCurve(a=self.a, b=self.b)
+            require_positive("b", self.b)
+            if self.trials < 1:
+                raise ValueError(f"trials: must be >= 1, got {self.trials}")
+            if self.q is not None and not 0 < self.q <= self.N:
+                raise ValueError(f"q: must lie in (0, {self.N}], got {self.q}")
+            if self.tau is not None:
+                require_positive("tau", self.tau)
+            if self.seed < 0:
+                raise ValueError(f"seed: must be >= 0, got {self.seed}")
+        except ValueError as exc:
+            raise ValueError(f"scenario field {exc}") from None
         # performance plays the role of an accuracy-like rate even though the
         # curve itself is never clamped; flag scenarios that leave [0, 1]
         if data_utility(self.N, self.curve) > 1.0:
@@ -126,8 +127,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read and validate a scenario config file."""
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    """Read and validate a scenario config file; errors name the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse_scenario(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def taxi_scenario_path() -> Path:

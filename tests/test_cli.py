@@ -208,9 +208,18 @@ class TestExitCodes:
 
     def test_invalid_config_value(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
-        config.write_text(SCENARIO.replace("b = 0.0079", "b = -1"), encoding="utf-8")
-        assert cli_main(["optimize", "--config", str(config)]) == 1
-        assert "field b" in capsys.readouterr().err
+        for good, bad, field in (("b = 0.0079", "b = -1", "b"),
+                                 ("b = 0.0079", "b = inf", "b"), ("k = 0.5", "k = -1", "k")):
+            config.write_text(SCENARIO.replace(good, bad), encoding="utf-8")
+            assert cli_main(["optimize", "--config", str(config)]) == 1
+            assert f"{config}: scenario field {field}:" in capsys.readouterr().err
+
+    def test_duplicate_bid_id(self, tmp_path, scenario_file, capsys):
+        bids = tmp_path / "bids.csv"
+        bids.write_text("customer_id,bid\nc1,0.3\nc1,0.1\n", encoding="utf-8")
+        assert cli_main(["auction", "--bids", str(bids), "--config", scenario_file]) == 1
+        err = capsys.readouterr().err
+        assert f"{bids}:3: duplicate customer_id 'c1', first on line 2" in err
 
     def test_invalid_sweep_parameter(self, scenario_file, capsys):
         code = cli_main(

@@ -45,6 +45,15 @@ class TestReadBids:
         with pytest.raises(ValueError, match="expected 2 fields"):
             read_bids(path)
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = write(
+            tmp_path, "bids.csv", "customer_id,bid\nalice,0.30\nbob,0.1\nalice,0.2\n"
+        )
+        with pytest.raises(
+            ValueError, match=r"bids\.csv:4: duplicate customer_id 'alice', first on line 2"
+        ):
+            read_bids(path)
+
     def test_blank_lines_tolerated(self, tmp_path):
         path = write(tmp_path, "bids.csv", "customer_id,bid\nalice,0.30\n\nbob,0.10\n")
         assert len(read_bids(path)) == 2
@@ -55,6 +64,11 @@ class TestReadPredictions:
         path = write(tmp_path, "preds.csv", "y_true,y_pred\n600,630\n900,1200\n")
         records = read_predictions(path)
         assert [(r.y_true, r.y_pred) for r in records] == [(600.0, 630.0), (900.0, 1200.0)]
+
+    def test_invalid_record_reports_line(self, tmp_path):
+        path = write(tmp_path, "preds.csv", "y_true,y_pred\n600,630\n900,nan\n")
+        with pytest.raises(ValueError, match=r"preds\.csv:3: .*finite"):
+            read_predictions(path)
 
     def test_header_required(self, tmp_path):
         path = write(tmp_path, "preds.csv", "600,630\n")
@@ -72,6 +86,17 @@ class TestReadExperimentPoints:
         path = write(tmp_path, "points.csv", "q,performance\n10,1.51\n")
         with pytest.raises(ValueError, match=r":2:"):
             read_experiment_points(path)
+
+
+@pytest.mark.parametrize(
+    "reader, header",
+    [(read_bids, "customer_id,bid"), (read_predictions, "y_true,y_pred"),
+     (read_experiment_points, "q,performance")],
+)
+def test_header_only_file_rejected(tmp_path, reader, header):
+    path = write(tmp_path, "empty.csv", header + "\n\n")
+    with pytest.raises(ValueError, match=r"empty\.csv: no data rows"):
+        reader(path)
 
 
 class TestWriteSweep:

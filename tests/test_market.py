@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from datamarket import (
     ValuationModel,
     data_cost,
     data_utility,
+    expected_profit,
     sample_valuations,
     valuation_cdf,
     valuation_pdf,
@@ -35,6 +38,8 @@ class TestTypes:
         [
             dict(M=0, k=0.5, gamma=1.0, N=100.0),
             dict(M=10.5, k=0.5, gamma=1.0, N=100.0),
+            dict(M=float("inf"), k=0.5, gamma=1.0, N=100.0),
+            dict(M=float("nan"), k=0.5, gamma=1.0, N=100.0),
             dict(M=10, k=0.0, gamma=1.0, N=100.0),
             dict(M=10, k=-1.0, gamma=1.0, N=100.0),
             dict(M=10, k=0.5, gamma=0.0, N=100.0),
@@ -119,6 +124,64 @@ class TestDataUtility:
         first = data_utility(q + delta, curve) - data_utility(q, curve)
         second = data_utility(q + 2 * delta, curve) - data_utility(q + delta, curve)
         assert first > second
+
+
+class TestArrayClosedForms:
+    """The closed forms on arrays against a per-element math.log reference.
+
+    np.log and math.log may differ by one ulp, hence a relative tolerance
+    fixed from the float64 epsilon rather than exact equality.
+    """
+
+    params = MarketParams(M=10000, k=0.5, gamma=1.0, N=100.0)
+    rel = 1e-14
+
+    def sizes(self):
+        rng = np.random.default_rng(5)
+        return np.concatenate([[0.0, 1.0, 39.5, 100.0], rng.uniform(0.0, 100.0, 5000)])
+
+    def test_data_utility_matches_reference(self):
+        qs = self.sizes()[1:]
+        ref = [TAXI_CURVE.a + TAXI_CURVE.b * math.log(q) for q in qs.tolist()]
+        assert data_utility(qs, TAXI_CURVE).tolist() == pytest.approx(ref, rel=self.rel)
+
+    def test_data_cost_matches_reference(self):
+        qs = self.sizes()
+        ref = [0.5 * q for q in qs.tolist()]
+        assert data_cost(qs, 0.5).tolist() == pytest.approx(ref, rel=self.rel)
+
+    def test_expected_profit_matches_reference(self):
+        p, c = self.params, TAXI_CURVE
+        qs = self.sizes()
+        ref = [
+            p.M * p.gamma * (c.a + c.b * math.log(q)) / 4.0 - p.k * q if q else 0.0
+            for q in qs.tolist()
+        ]
+        got = expected_profit(qs, p, c)
+        assert got.tolist() == pytest.approx(ref, rel=self.rel)
+        assert got[0] == 0.0
+
+    def test_scalar_in_gives_float_out(self):
+        for q in (50.0, np.float64(50.0), 50):
+            assert type(data_utility(q, TAXI_CURVE)) is float
+            assert type(data_cost(q, 0.5)) is float
+            assert type(expected_profit(q, self.params, TAXI_CURVE)) is float
+        assert type(expected_profit(0.0, self.params, TAXI_CURVE)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_one_bad_element_rejects_the_array(self, bad):
+        qs = np.array([1.0, 50.0, bad])
+        with pytest.raises(ValueError, match="data size"):
+            data_utility(qs, TAXI_CURVE)
+        if bad != 0.0:
+            with pytest.raises(ValueError, match="data size"):
+                data_cost(qs, 0.5)
+            with pytest.raises(ValueError, match="data size"):
+                expected_profit(qs, self.params, TAXI_CURVE)
+
+    def test_expected_profit_rejects_sizes_above_n(self):
+        with pytest.raises(ValueError, match="data size"):
+            expected_profit(np.array([1.0, 100.5]), self.params, TAXI_CURVE)
 
 
 class TestValuationDistribution:

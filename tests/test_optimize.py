@@ -217,14 +217,39 @@ class TestGridArgmax:
         arg, _ = grid_argmax(f, GRID_EPS, 100.0, 20_001)
         assert abs(arg - 39.5) <= (100.0 - GRID_EPS) / 20_000
 
+    def test_expected_profit_evaluates_the_grid_in_one_call(self):
+        calls = []
+
+        def f(qs):
+            calls.append(np.shape(qs))
+            return expected_profit(qs, TAXI_PARAMS, TAXI_CURVE)
+
+        grid_argmax(f, GRID_EPS, 100.0, GRID_STEPS)
+        assert calls == [(GRID_STEPS,)]
+
     def test_constant_returns_low_end(self):
-        arg, val = grid_argmax(lambda x: 1.5, 2.0, 5.0, 100)
+        arg, val = grid_argmax(lambda x: np.full_like(x, 1.5), 2.0, 5.0, 100)
         assert arg == 2.0
         assert val == 1.5
 
     def test_non_finite_objective_rejected(self):
-        with pytest.raises(ValueError):
-            grid_argmax(lambda x: float("nan"), 0.0, 1.0, 10)
+        with pytest.raises(ValueError, match="not finite"):
+            grid_argmax(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 10)
+
+    def test_scalar_valued_objective_rejected(self):
+        with pytest.raises(ValueError, match="whole grid"):
+            grid_argmax(lambda x: 1.5, 0.0, 1.0, 10)
+
+    def test_objective_error_propagates_without_retry(self):
+        calls = []
+
+        def broken(xs):
+            calls.append(xs)
+            raise ZeroDivisionError("objective bug")
+
+        with pytest.raises(ZeroDivisionError, match="objective bug"):
+            grid_argmax(broken, 0.0, 1.0, 10)
+        assert len(calls) == 1
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):

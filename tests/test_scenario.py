@@ -78,10 +78,12 @@ class TestValidation:
         return fields
 
     def test_field_named_in_errors(self):
-        with pytest.raises(ValueError, match="M must be"):
+        with pytest.raises(ValueError, match="scenario field M"):
             ScenarioConfig(**self.base(M=0))
-        with pytest.raises(ValueError, match="field b"):
-            ScenarioConfig(**self.base(b=-0.01))
+        for name, bad in (("k", -1.0), ("gamma", 0.0), ("N", float("nan")),
+                          ("a", float("inf")), ("b", -0.01), ("b", float("inf"))):
+            with pytest.raises(ValueError, match=f"scenario field {name}:"):
+                ScenarioConfig(**self.base(**{name: bad}))
         with pytest.raises(ValueError, match="field trials"):
             ScenarioConfig(**self.base(trials=0))
         with pytest.raises(ValueError, match="field q"):
