@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 input or config error, 2 internal error.  All
 randomized commands are deterministic given --seed.
+
+A command handler returns (summary, table): the `key = value` summary as a
+dict, and a function writing the CSV table to a path or stream.  Either may be
+None.  --out takes the table if there is one, else the summary.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 from dataclasses import replace
@@ -32,25 +35,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
-def _emit(lines, out_path) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _with_overrides(config, args):
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
+    updates = {name: getattr(args, name) for name in ("seed", "trials")
+               if getattr(args, name, None) is not None}
     return replace(config, **updates) if updates else config
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     points = csvio.read_experiment_points(args.points)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the flag below carries the message
@@ -58,105 +49,51 @@ def _cmd_fit(args) -> int:
     if report.nonpositive_slope:
         print("warning: fitted slope is not positive; profit optimization "
               "will refuse this curve", file=sys.stderr)
-    _emit(
-        [
-            f"a = {csvio.format_sig(report.curve.a)}",
-            f"b = {csvio.format_sig(report.curve.b)}",
-            f"rmse = {csvio.format_sig(report.rmse)}",
-            f"n_points = {report.n_points}",
-        ],
-        args.out,
-    )
-    return 0
+    return {"a": report.curve.a, "b": report.curve.b, "rmse": report.rmse,
+            "n_points": report.n_points}, None
 
 
-def _cmd_metric(args) -> int:
+def _cmd_metric(args):
     records = csvio.read_predictions(args.predictions)
     rate = satisfaction_rate(records, args.tau)
-    _emit(
-        [
-            f"satisfaction_rate = {csvio.format_sig(rate)}",
-            f"n_records = {len(records)}",
-            f"tau = {csvio.format_sig(args.tau)}",
-        ],
-        args.out,
-    )
-    return 0
+    return {"satisfaction_rate": rate, "n_records": len(records), "tau": args.tau}, None
 
 
-def _cmd_auction(args) -> int:
+def _cmd_auction(args):
     config = load_scenario(args.config)
     if config.q is None:
         raise ValueError("scenario field q: required for an auction run")
     bids = csvio.read_bids(args.bids)
     result = run_auction(bids, config.model(), q=config.q, k=config.k)
     outcome = result.outcome
-
-    def write_table(fh):
-        writer = csv.writer(fh)
-        writer.writerow(("customer_id", "bid", "allocation", "payment"))
-        for i, bid in enumerate(bids):
-            writer.writerow(
-                (
-                    bid.customer_id,
-                    csvio.format_sig(bid.bid),
-                    int(outcome.allocations[i]),
-                    csvio.format_sig(float(outcome.payments[i])),
-                )
-            )
-
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            write_table(fh)
-    else:
-        write_table(sys.stdout)
-    print(f"threshold_price = {csvio.format_sig(result.threshold_price)}")
-    print(f"winners = {int(outcome.allocations.sum())}")
-    print(f"gross_profit = {csvio.format_sig(outcome.gross_profit)}")
-    return 0
+    summary = {"threshold_price": result.threshold_price,
+               "winners": int(outcome.allocations.sum()),
+               "gross_profit": outcome.gross_profit}
+    header = ("customer_id", "bid", "allocation", "payment")
+    columns = (outcome.customer_ids, [bid.bid for bid in bids],
+               outcome.allocations, outcome.payments)
+    return summary, lambda out: csvio.write_table(header, columns, out)
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args):
     config = load_scenario(args.config)
     report = optimal_data_size(config.market, config.curve)
-    _emit(
-        [
-            f"q_star = {csvio.format_sig(report.q_star)}",
-            f"optimal_price = {csvio.format_sig(report.price_at_q_star)}",
-            f"expected_profit = {csvio.format_sig(report.expected_profit_at_q_star)}",
-            f"rejected = {'true' if report.rejected else 'false'}",
-        ],
-        args.out,
-    )
-    return 0
+    return {"q_star": report.q_star, "optimal_price": report.price_at_q_star,
+            "expected_profit": report.expected_profit_at_q_star,
+            "rejected": report.rejected}, None
 
 
-def _cmd_simulate(args) -> int:
-    config = _with_overrides(load_scenario(args.config), args)
-    report = simulate(config)
-    _emit(
-        [
-            f"M = {report.M}",
-            f"q = {csvio.format_sig(report.q)}",
-            f"threshold_price = {csvio.format_sig(report.threshold_price)}",
-            f"trials = {report.trials}",
-            f"seed = {report.seed}",
-            f"analytic_profit = {csvio.format_sig(report.analytic_profit)}",
-            f"empirical_mean = {csvio.format_sig(report.empirical_mean)}",
-            f"empirical_std = {csvio.format_sig(report.empirical_std)}",
-            f"std_error = {csvio.format_sig(report.std_error)}",
-            f"within_three_se = {'true' if report.within_three_se else 'false'}",
-        ],
-        args.out,
-    )
-    return 0
+def _cmd_simulate(args):
+    report = simulate(_with_overrides(load_scenario(args.config), args))
+    names = ("M", "q", "threshold_price", "trials", "seed", "analytic_profit",
+             "empirical_mean", "empirical_std", "std_error", "within_three_se")
+    return {name: getattr(report, name) for name in names}, None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     config = _with_overrides(load_scenario(args.config), args)
     rows = sweep(config, args.param, args.lo, args.hi, args.steps)
-    csvio.write_sweep_csv(rows, args.out or sys.stdout)
-    return 0
+    return None, lambda out: csvio.write_sweep_csv(rows, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,31 +106,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the utility curve to experiment points")
     p.add_argument("--points", required=True, help="CSV with header q,performance")
-    p.add_argument("--out", help="write the fitted coefficients to this file")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("metric", help="satisfaction rate of a prediction log")
     p.add_argument("--predictions", required=True, help="CSV with header y_true,y_pred")
     p.add_argument("--tau", type=float, required=True, help="error tolerance")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("auction", help="run the posted-price auction on sealed bids")
     p.add_argument("--bids", required=True, help="CSV with header customer_id,bid")
     p.add_argument("--config", required=True, help="scenario config file")
-    p.add_argument("--out", help="write the allocation table to this file")
     p.set_defaults(func=_cmd_auction)
 
     p = sub.add_parser("optimize", help="optimal data purchase for a scenario")
     p.add_argument("--config", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("simulate", help="Monte-Carlo check of the expected profit")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--trials", type=int, help="override the config trial count")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="tabulate profit along a parameter grid")
@@ -204,9 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--trials", type=int, help="override the config trial count")
-    p.add_argument("--out", help="write the result CSV to this file")
     p.set_defaults(func=_cmd_sweep)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the table, else the summary, to this file")
     return parser
 
 
@@ -221,7 +154,14 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        summary, table = args.func(args)
+        out = args.out or sys.stdout
+        if table is not None:
+            table(out)
+            out = sys.stdout
+        if summary is not None:
+            csvio.write_summary(summary, out)
+        return 0
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,9 +121,11 @@ class AuctionOutcome:
             raise ValueError("customer ids must be unique")
         if self.allocations.shape != (n,) or self.payments.shape != (n,):
             raise ValueError("allocations and payments must align with customer_ids")
-        object.__setattr__(
-            self, "_slot", {cid: i for i, cid in enumerate(self.customer_ids)}
-        )
+
+    @cached_property
+    def _slot(self) -> dict[str, int]:
+        # built on the first lookup: most outcomes are never queried by id
+        return {cid: i for i, cid in enumerate(self.customer_ids)}
 
     def index_of(self, customer_id: str) -> int:
         """Position of a customer in the outcome arrays."""

@@ -56,7 +56,14 @@ def expected_profit(q, params: MarketParams, curve: UtilityCurve):
     # r(q) is undefined at q = 0; the placeholder 1 is masked out below
     r = data_utility(np.where(bought, qs, 1.0), curve)
     revenue = params.M * params.gamma * r / 4.0
-    return _unwrap(np.where(bought, revenue - data_cost(qs, params.k), 0.0))
+    profit = np.where(bought, revenue - data_cost(qs, params.k), 0.0)
+    overflow = ~np.isfinite(profit)
+    if overflow.any():
+        raise ValueError(
+            f"expected profit overflows at data size {qs[overflow][0]}: "
+            f"M*gamma*r(q)/4 - k*q = {profit[overflow][0]}"
+        )
+    return _unwrap(profit)
 
 
 def optimal_data_size(params: MarketParams, curve: UtilityCurve) -> ProfitReport:

@@ -128,9 +128,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read and validate a scenario config file; errors name the file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return parse_scenario(text)
+    try:  # a file that is not UTF-8 raises UnicodeDecodeError, a ValueError
+        return parse_scenario(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -241,6 +241,12 @@ class TestCustomerUtility:
         with pytest.raises(KeyError):
             customer_utility(CustomerBid("ghost", 0.5), 0.5, self.result)
 
+    def test_id_map_built_on_first_lookup(self):
+        outcome = run_auction(_bids(0.6, 0.3), TAXI_MODEL, q=50.0, k=0.5).outcome
+        assert "_slot" not in vars(outcome)
+        assert outcome.index_of("c1") == 1
+        assert "_slot" in vars(outcome)
+
 
 class TestTruthfulness:
     @given(

@@ -1,15 +1,18 @@
 import io
 
+import numpy as np
 import pytest
 
-from datamarket import SweepResultRow
+from datamarket import SweepResultRow, load_scenario
 from datamarket.csvio import (
     SWEEP_HEADER,
     format_sig,
     read_bids,
     read_experiment_points,
     read_predictions,
+    write_summary,
     write_sweep_csv,
+    write_table,
 )
 
 
@@ -99,6 +102,23 @@ def test_header_only_file_rejected(tmp_path, reader, header):
         reader(path)
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [(read_bids, "customer_id,bid\nalice,0.3\n"),
+     (read_predictions, "y_true,y_pred\n1,2\n"),
+     (read_experiment_points, "q,performance\n1,0.5\n"),
+     (load_scenario, "M = 10\nk = 1\n")],
+)
+def test_non_utf8_file_is_named(tmp_path, reader, text):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(text.encode("utf-8") + b"\xff\n")
+    with pytest.raises(ValueError) as excinfo:
+        reader(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: ")
+    assert "can't decode byte 0xff" in message
+
+
 class TestWriteSweep:
     rows = [
         SweepResultRow(
@@ -127,3 +147,25 @@ class TestWriteSweep:
         assert format_sig(1288.2624543572058) == "1288.26"
         assert format_sig(0.26265249087144116) == "0.262652"
         assert format_sig(0.0) == "0"
+
+
+class TestWriteTableAndSummary:
+    def test_float_columns_formatted_others_verbatim(self):
+        buf = io.StringIO()
+        columns = (("a", "b"), [0.123456789, 2.0], np.array([1, 0], dtype=np.int8),
+                   np.array([1288.2624543, 0.0]))
+        write_table(("id", "x", "n", "p"), columns, buf)
+        assert buf.getvalue() == "id,x,n,p\r\na,0.123457,1,1288.26\r\nb,2,0,0\r\n"
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table(("id", "x"), ((), ()), path)
+        assert path.read_bytes() == b"id,x\r\n"
+
+    def test_summary_lines(self, tmp_path):
+        summary = {"profit": 1288.2624543, "n": 3, "rejected": True, "ok": False}
+        path = tmp_path / "summary.txt"
+        write_summary(summary, path)
+        assert path.read_text(encoding="utf-8") == (
+            "profit = 1288.26\nn = 3\nrejected = true\nok = false\n"
+        )

@@ -64,6 +64,16 @@ class TestExpectedProfit:
         with pytest.raises(ValueError):
             expected_profit(10.0, TAXI_PARAMS, UtilityCurve(a=0.5, b=-0.01))
 
+    def test_overflow_rejected(self):
+        # M * gamma = 1e309 is inf in floating point; so is the profit
+        huge = MarketParams(M=10000, k=0.5, gamma=1e305, N=100.0)
+        with pytest.raises(ValueError, match="expected profit overflows at data size 50.0"):
+            expected_profit(50.0, huge, TAXI_CURVE)
+        with pytest.raises(ValueError, match="overflows at data size 20.0"):
+            expected_profit(np.array([0.0, 20.0, 50.0]), huge, TAXI_CURVE)
+        with pytest.raises(ValueError, match="overflows"):
+            optimal_data_size(huge, TAXI_CURVE)
+
 
 class TestOptimalDataSize:
     def test_taxi_interior_optimum(self):
