@@ -8,94 +8,18 @@ price, optimal purchased data size) come with Monte-Carlo and grid-search
 validation harnesses.
 """
 
-from .auction import (
-    MechanismResult,
-    customer_utility,
-    inverse_virtual,
-    optimal_price,
-    run_auction,
-    virtual_valuation,
-)
-from .fitting import (
-    ExperimentPoint,
-    FitReport,
-    PredictionRecord,
-    evaluate_fit,
-    fit_utility,
-    satisfaction_rate,
-)
-from .market import (
-    AuctionOutcome,
-    CustomerBid,
-    MarketParams,
-    UtilityCurve,
-    ValuationModel,
-    data_cost,
-    data_utility,
-    sample_valuations,
-    valuation_cdf,
-    valuation_pdf,
-)
-from .optimize import (
-    ProfitReport,
-    concavity_check,
-    expected_profit,
-    grid_argmax,
-    optimal_data_size,
-)
-from .scenario import (
-    ScenarioConfig,
-    load_scenario,
-    parse_scenario,
-    taxi_scenario,
-    taxi_scenario_path,
-)
-from .simulate import (
-    SWEEP_PARAMETERS,
-    SimulationReport,
-    SweepResultRow,
-    simulate,
-    sweep,
-)
+from . import auction, fitting, market, optimize, scenario, simulate
+
+# read before the star imports: `from .simulate import *` rebinds the name
+# simulate from the submodule to the function
+__all__ = [name for module in (auction, fitting, market, optimize, scenario, simulate)
+           for name in module.__all__]
+
+from .auction import *  # noqa: E402,F401,F403
+from .fitting import *  # noqa: E402,F401,F403
+from .market import *  # noqa: E402,F401,F403
+from .optimize import *  # noqa: E402,F401,F403
+from .scenario import *  # noqa: E402,F401,F403
+from .simulate import *  # noqa: E402,F401,F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuctionOutcome",
-    "CustomerBid",
-    "ExperimentPoint",
-    "FitReport",
-    "MarketParams",
-    "MechanismResult",
-    "PredictionRecord",
-    "ProfitReport",
-    "SWEEP_PARAMETERS",
-    "ScenarioConfig",
-    "SimulationReport",
-    "SweepResultRow",
-    "UtilityCurve",
-    "ValuationModel",
-    "concavity_check",
-    "customer_utility",
-    "data_cost",
-    "data_utility",
-    "evaluate_fit",
-    "expected_profit",
-    "fit_utility",
-    "grid_argmax",
-    "inverse_virtual",
-    "load_scenario",
-    "optimal_data_size",
-    "optimal_price",
-    "parse_scenario",
-    "run_auction",
-    "sample_valuations",
-    "satisfaction_rate",
-    "simulate",
-    "sweep",
-    "taxi_scenario",
-    "taxi_scenario_path",
-    "valuation_cdf",
-    "valuation_pdf",
-    "virtual_valuation",
-]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import csvio
 from .auction import run_auction
@@ -85,9 +85,8 @@ def _cmd_optimize(args):
 
 def _cmd_simulate(args):
     report = simulate(_with_overrides(load_scenario(args.config), args))
-    names = ("M", "q", "threshold_price", "trials", "seed", "analytic_profit",
-             "empirical_mean", "empirical_std", "std_error", "within_three_se")
-    return {name: getattr(report, name) for name in names}, None
+    return {field.name: getattr(report, field.name) for field in fields(report)
+            if field.name != "trial_profits"}, None
 
 
 def _cmd_sweep(args):

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .fitting import ExperimentPoint, PredictionRecord
 from .market import CustomerBid
+from .simulate import SweepResultRow
 
 __all__ = [
     "BID_HEADER",
@@ -31,15 +33,8 @@ __all__ = [
 BID_HEADER = ("customer_id", "bid")
 PREDICTION_HEADER = ("y_true", "y_pred")
 POINT_HEADER = ("q", "performance")
-# the SweepResultRow field names, in column order
-SWEEP_HEADER = (
-    "value",
-    "expected_profit",
-    "optimal_price",
-    "optimal_q",
-    "empirical_mean",
-    "empirical_std",
-)
+# one column per SweepResultRow field, in field order
+SWEEP_HEADER = tuple(field.name for field in fields(SweepResultRow))
 # where a writer's output goes: a path, or an open text stream
 Destination = IO[str] | str | Path
 

@@ -80,8 +80,8 @@ def fit_utility(points: Sequence[ExperimentPoint]) -> FitReport:
     """
     if len(points) < 2:
         raise ValueError(f"need at least 2 experiment points, got {len(points)}")
-    x = np.log([p.q for p in points])
-    y = np.asarray([p.alpha for p in points], dtype=float)
+    q, y = _columns(points)
+    x = np.log(q)
     if np.unique(x).size < 2:
         raise ValueError("need at least 2 distinct data sizes to identify a slope")
 
@@ -98,7 +98,7 @@ def fit_utility(points: Sequence[ExperimentPoint]) -> FitReport:
         )
     return FitReport(
         curve=curve,
-        rmse=evaluate_fit(curve, points),
+        rmse=_rmse(curve, q, y),
         n_points=len(points),
         nonpositive_slope=flagged,
     )
@@ -108,6 +108,15 @@ def evaluate_fit(curve: UtilityCurve, points: Sequence[ExperimentPoint]) -> floa
     """Root-mean-square residual of a curve against experiment points."""
     if len(points) == 0:
         raise ValueError("points must be non-empty")
-    q = np.fromiter((p.q for p in points), dtype=float, count=len(points))
-    alpha = np.fromiter((p.alpha for p in points), dtype=float, count=len(points))
+    return _rmse(curve, *_columns(points))
+
+
+def _columns(points: Sequence[ExperimentPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The data sizes and the performances of the points, as two arrays."""
+    n = len(points)
+    return (np.fromiter((p.q for p in points), dtype=float, count=n),
+            np.fromiter((p.alpha for p in points), dtype=float, count=n))
+
+
+def _rmse(curve: UtilityCurve, q: np.ndarray, alpha: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(alpha - data_utility(q, curve)))))

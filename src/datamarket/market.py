@@ -21,7 +21,6 @@ __all__ = [
     "AuctionOutcome",
     "data_cost",
     "data_utility",
-    "valuation_pdf",
     "valuation_cdf",
     "sample_valuations",
 ]
@@ -176,14 +175,6 @@ def data_utility(q, curve: UtilityCurve):
     the raw logarithm, and clamping would break their closed forms.
     """
     return _unwrap(curve.a + curve.b * np.log(_positive_array("data size", q)))
-
-
-def valuation_pdf(v, model: ValuationModel):
-    """Density of the valuation distribution; vectorizes over v."""
-    arr = np.asarray(v, dtype=float)
-    out = np.where((arr >= 0.0) & (arr <= model.support_max),
-                   1.0 / model.support_max, 0.0)
-    return out[()]
 
 
 def valuation_cdf(v, model: ValuationModel):

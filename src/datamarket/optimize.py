@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -97,6 +98,18 @@ def concavity_check(params: MarketParams, curve: UtilityCurve, q: float) -> floa
     return -params.M * params.gamma * curve.b / (4.0 * q * q)
 
 
+def grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    """steps evenly spaced points from lo to hi: finite bounds, lo < hi, steps >= 2."""
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"grid bound {name} must be finite, got {bound}")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
+    if steps < 2:
+        raise ValueError(f"need at least 2 grid points, got {steps}")
+    return np.linspace(lo, hi, int(steps))
+
+
 def grid_argmax(
     f: Callable, lo: float, hi: float, steps: int
 ) -> tuple[float, float]:
@@ -106,11 +119,7 @@ def grid_argmax(
     f evaluates the whole grid at once: it takes the array of grid points and
     returns an array of the same shape (the closed forms accept arrays).
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
-    if steps < 2:
-        raise ValueError(f"need at least 2 grid points, got {steps}")
-    xs = np.linspace(lo, hi, int(steps))
+    xs = grid(lo, hi, steps)
     ys = np.asarray(f(xs), dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 from .market import (
     MarketParams,
@@ -22,11 +23,6 @@ __all__ = [
     "taxi_scenario",
     "taxi_scenario_path",
 ]
-
-_INT_FIELDS = ("M", "seed", "trials")
-_FLOAT_FIELDS = ("k", "gamma", "N", "a", "b", "q", "tau")
-_REQUIRED_FIELDS = ("M", "k", "gamma", "N", "a", "b")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -90,9 +86,17 @@ class ScenarioConfig:
         return ValuationModel.from_market(self.curve, size, self.gamma)
 
 
+# the scenario keys are the ScenarioConfig fields, int or float, required where
+# they have no default; read once here, as type hints cost more than a parse
+_KEY_TYPES = {name: int if hint is int else float
+              for name, hint in get_type_hints(ScenarioConfig).items()}
+_REQUIRED_KEYS = [field.name for field in fields(ScenarioConfig)
+                  if field.default is MISSING]
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse the `key = value` scenario format; `#` starts a comment."""
-    fields: dict[str, float | int] = {}
+    parsed: dict[str, float | int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,28 +106,22 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 f"scenario line {lineno}: expected 'key = value', got {raw.strip()!r}"
             )
         key, _, value = (part.strip() for part in line.partition("="))
-        if key in fields:
+        if key in parsed:
             raise ValueError(f"scenario line {lineno}: duplicate field {key!r}")
-        if key in _INT_FIELDS:
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"scenario field {key}: expected an integer, got {value!r}"
-                ) from None
-        elif key in _FLOAT_FIELDS:
-            try:
-                fields[key] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"scenario field {key}: expected a number, got {value!r}"
-                ) from None
-        else:
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
             raise ValueError(f"scenario line {lineno}: unknown field {key!r}")
-    missing = [name for name in _REQUIRED_FIELDS if name not in fields]
+        try:
+            parsed[key] = kind(value)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(
+                f"scenario field {key}: expected {noun}, got {value!r}"
+            ) from None
+    missing = [name for name in _REQUIRED_KEYS if name not in parsed]
     if missing:
         raise ValueError(f"scenario is missing required fields: {', '.join(missing)}")
-    return ScenarioConfig(**fields)
+    return ScenarioConfig(**parsed)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .auction import optimal_price
 from .market import ValuationModel, data_cost, sample_valuations, valuation_cdf
-from .optimize import expected_profit, optimal_data_size
+from .optimize import expected_profit, grid, optimal_data_size
 from .scenario import ScenarioConfig
 
 __all__ = ["SimulationReport", "SweepResultRow", "SWEEP_PARAMETERS", "simulate", "sweep"]
@@ -64,13 +64,18 @@ def _monte_carlo(model, price, M, cost, first_seed, trials):
 
     Trial t draws M valuations with seed first_seed + t; every customer valued
     at or above the price buys.  The std is the sample one (0 for one trial).
+    A mean or std that overflows is a ValueError.
     """
     profits = np.empty(trials)
     for t in range(trials):
         values = sample_valuations(M, model, seed=first_seed + t)
         profits[t] = np.count_nonzero(values >= price) * price - cost
-    std = float(profits.std(ddof=1)) if trials > 1 else 0.0
-    return profits, float(profits.mean()), std
+    with np.errstate(over="ignore"):  # the check below reports an overflow
+        mean = float(profits.mean())
+        std = float(profits.std(ddof=1)) if trials > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(f"Monte-Carlo profit overflows: mean {mean}, std {std}")
+    return profits, mean, std
 
 
 def simulate(config: ScenarioConfig) -> SimulationReport:
@@ -183,17 +188,11 @@ def sweep(
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
-    for name, bound in (("lo", lo), ("hi", hi)):
-        if not math.isfinite(bound):
-            raise ValueError(f"sweep bound {name} must be finite, got {bound}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
-    if steps < 2:
-        raise ValueError(f"need at least 2 grid points, got {steps}")
+    values = grid(lo, hi, steps).tolist()
     point_at = _point_function(config, parameter, lo, hi)
 
     rows: list[SweepResultRow] = []
-    for r, value in enumerate(np.linspace(lo, hi, int(steps)).tolist()):
+    for r, value in enumerate(values):
         point = point_at(value)
         if point is None:
             rows.append(SweepResultRow(value, 0.0, 0.0, 0.0, 0.0, 0.0))

@@ -14,7 +14,6 @@ from datamarket import (
     run_auction,
     sample_valuations,
     valuation_cdf,
-    valuation_pdf,
     virtual_valuation,
 )
 from datamarket.auction import posted_price
@@ -41,13 +40,12 @@ class TestVirtualValuation:
             virtual_valuation(v, self.model)
 
     def test_matches_hazard_rate_definition(self):
-        # independent route: v - (1 - F(v)) / f(v)
+        # independent route: v - (1 - F(v)) / f(v), with the uniform density 1/s
+        density = 1.0 / self.model.support_max
         rng = np.random.default_rng(5)
         for v in rng.uniform(0.0, 0.9, size=200):
             v = float(v)
-            expected = v - (1.0 - valuation_cdf(v, self.model)) / valuation_pdf(
-                v, self.model
-            )
+            expected = v - (1.0 - valuation_cdf(v, self.model)) / density
             assert virtual_valuation(v, self.model) == pytest.approx(
                 expected, abs=1e-12
             )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -255,6 +256,24 @@ class TestExitCodes:
         assert "inf" not in captured.out
         assert "error: expected profit overflows" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trials", "3"],
+        ["sweep", "--param", "gamma", "--lo", "1", "--hi", "1e303", "--steps", "3",
+         "--trials", "3"],
+    ])
+    def test_monte_carlo_overflow(self, tmp_path, argv, capsys):
+        # profits near 4e301 are finite; the squares in their std are not
+        config = tmp_path / "huge.cfg"
+        config.write_text(SCENARIO.replace("gamma = 1\n", "gamma = 1e300\n"),
+                          encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main([*argv, "--config", str(config)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert "inf" not in captured.out
+        assert "error: Monte-Carlo profit overflows" in captured.err
+
     def test_non_utf8_input(self, tmp_path, scenario_file, capsys):
         bids = tmp_path / "bids.csv"
         bids.write_bytes(b"customer_id,bid\nalice,0.6\n\xff\n")
@@ -290,7 +309,9 @@ class TestModuleEntryPoint:
 
 class TestBenchmarkBindings:
     """The benchmark traces layers by rebinding module attributes, and skips a
-    binding that no longer exists; these tests keep the CLI and csvio ones."""
+    binding that no longer exists; these tests keep every binding it names but
+    ("datamarket.simulate", "run_auction"), gone since simulate stopped running
+    the auction adapter."""
 
     def test_cli_and_csvio_layers_resolve(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -299,8 +320,8 @@ class TestBenchmarkBindings:
         spec.loader.exec_module(tracer)
         bindings = [binding for bindings in tracer.LAYERS.values()
                     for binding in bindings
-                    if binding[0] in ("datamarket.cli", "datamarket.csvio")]
-        assert bindings
+                    if binding != ("datamarket.simulate", "run_auction")]
+        assert len(bindings) == sum(map(len, tracer.LAYERS.values())) - 1
         for module, attr in bindings:
             assert callable(getattr(importlib.import_module(module), attr, None)), attr
 

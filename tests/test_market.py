@@ -16,7 +16,6 @@ from datamarket import (
     expected_profit,
     sample_valuations,
     valuation_cdf,
-    valuation_pdf,
 )
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
@@ -210,17 +209,6 @@ class TestValuationDistribution:
         vs = np.sort(rng.uniform(-1.0, 2.0, size=500))
         cs = valuation_cdf(vs, self.model)
         assert np.all(np.diff(cs) >= 0)
-
-    def test_pdf_integrates_to_one(self):
-        # quadrature oracle over a range that covers the support
-        vs = np.linspace(-0.5, 1.5, 200_001)
-        total = np.trapezoid(valuation_pdf(vs, self.model), vs)
-        assert total == pytest.approx(1.0, abs=1e-4)
-
-    def test_pdf_zero_outside_support(self):
-        assert valuation_pdf(-0.01, self.model) == 0.0
-        assert valuation_pdf(0.81, self.model) == 0.0
-        assert valuation_pdf(0.4, self.model) == pytest.approx(1.25)
 
 
 class TestSampleValuations:

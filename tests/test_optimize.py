@@ -266,3 +266,7 @@ class TestGridArgmax:
             grid_argmax(lambda x: x, 1.0, 1.0, 10)
         with pytest.raises(ValueError):
             grid_argmax(lambda x: x, 0.0, 1.0, 1)
+        for lo, hi, name in ((0.0, float("inf"), "hi"), (float("-inf"), 1.0, "lo"),
+                             (float("nan"), 1.0, "lo"), (0.0, float("nan"), "hi")):
+            with pytest.raises(ValueError, match=f"bound {name} must be finite"):
+                grid_argmax(lambda x: x, lo, hi, 10)

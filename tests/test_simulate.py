@@ -67,6 +67,14 @@ class TestSimulate:
             config.curve, config.q, config.gamma
         )
 
+    def test_std_overflow_rejected(self):
+        # profits near 1e303 are finite, but their squares in the std are not
+        config = replace(taxi_scenario(), gamma=1e300, trials=5)
+        with pytest.raises(ValueError, match="Monte-Carlo profit overflows"):
+            simulate(config)
+        with pytest.raises(ValueError, match="Monte-Carlo profit overflows"):
+            sweep(config, "gamma", 1.0, 1e303, 3)
+
 
 class TestSweepValidation:
     def test_unknown_parameter(self):
