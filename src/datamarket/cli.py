@@ -42,13 +42,7 @@ def _with_overrides(config, args):
 
 
 def _cmd_fit(args):
-    points = csvio.read_experiment_points(args.points)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the flag below carries the message
-        report = fit_utility(points)
-    if report.nonpositive_slope:
-        print("warning: fitted slope is not positive; profit optimization "
-              "will refuse this curve", file=sys.stderr)
+    report = fit_utility(csvio.read_experiment_points(args.points))
     return {"a": report.curve.a, "b": report.curve.b, "rmse": report.rmse,
             "n_points": report.n_points}, None
 
@@ -143,7 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
-    """Dispatch a command line; returns the process exit code."""
+    """Dispatch a command line; returns the process exit code.
+
+    Each distinct warning the command raises goes to stderr once, as
+    `warning: <message>`, ahead of any error line; it never changes the code.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -152,21 +150,26 @@ def cli_main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else int(exc.code)
-    try:
-        summary, table = args.func(args)
-        out = args.out or sys.stdout
-        if table is not None:
-            table(out)
-            out = sys.stdout
-        if summary is not None:
-            csvio.write_summary(summary, out)
-        return 0
-    except (ValueError, LookupError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+    code, error = 0, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            summary, table = args.func(args)
+            out = args.out or sys.stdout
+            if table is not None:
+                table(out)
+                out = sys.stdout
+            if summary is not None:
+                csvio.write_summary(summary, out)
+        except (ValueError, LookupError, OSError) as exc:
+            code, error = 1, f"error: {exc}"
+        except Exception as exc:
+            code, error = 2, f"internal error: {exc}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(error, file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -55,7 +55,10 @@ def _opened(out: Destination):
 
 
 def _read_records(path, header: Sequence[str], record: Callable) -> list:
-    """record(lineno, *fields) of every data row; its ValueError gets path:line."""
+    """record(line, *fields) of every data row; its ValueError gets path:line.
+
+    line is the file line the row ends on, so lines inside quoted fields count.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -63,17 +66,19 @@ def _read_records(path, header: Sequence[str], record: Callable) -> list:
             if first is None or [cell.strip() for cell in first] != list(header):
                 raise ValueError(f"{path}: expected header {','.join(header)!r}")
             records = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 try:
                     if len(row) != len(header):
                         raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                    records.append(record(lineno, *row))
+                    records.append(record(reader.line_num, *row))
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:  # raised while reading, ahead of any line
         raise ValueError(f"{path}: {exc}") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not records:
         raise ValueError(f"{path}: no data rows after the header")
     return records
@@ -90,9 +95,9 @@ def read_bids(path) -> list[CustomerBid]:
     """Load sealed bids from a `customer_id,bid` CSV file; ids must be unique."""
     first_line: dict[str, int] = {}
 
-    def bid(lineno, cid, value):
-        first = first_line.setdefault(cid, lineno)
-        if first != lineno:
+    def bid(line, cid, value):
+        first = first_line.setdefault(cid, line)
+        if first != line:
             raise ValueError(f"duplicate customer_id {cid!r}, first on line {first}")
         return CustomerBid(customer_id=cid, bid=_number("bid", value))
 

@@ -52,14 +52,13 @@ class ExperimentPoint:
 class FitReport:
     """Fitted utility curve plus its root-mean-square residual.
 
-    nonpositive_slope marks fits whose slope came out <= 0; such a curve is
-    still reported for inspection, but profit optimization will refuse it.
+    A curve with slope <= 0 is still reported for inspection, with a warning,
+    but profit optimization will refuse it.
     """
 
     curve: UtilityCurve
     rmse: float
     n_points: int
-    nonpositive_slope: bool = False
 
 
 def satisfaction_rate(records: Sequence[PredictionRecord], tau: float) -> float:
@@ -89,19 +88,10 @@ def fit_utility(points: Sequence[ExperimentPoint]) -> FitReport:
     b = float((xc * (y - y.mean())).sum() / (xc * xc).sum())
     a = float(y.mean() - b * x.mean())
     curve = UtilityCurve(a=a, b=b)
-    flagged = b <= 0
-    if flagged:
-        warnings.warn(
-            f"fitted slope b={b:.6g} is not positive; profit optimization "
-            "will refuse this curve",
-            stacklevel=2,
-        )
-    return FitReport(
-        curve=curve,
-        rmse=_rmse(curve, q, y),
-        n_points=len(points),
-        nonpositive_slope=flagged,
-    )
+    if b <= 0:
+        warnings.warn("fitted slope is not positive; profit optimization "
+                      "will refuse this curve", stacklevel=2)
+    return FitReport(curve=curve, rmse=_rmse(curve, q, y), n_points=len(points))
 
 
 def evaluate_fit(curve: UtilityCurve, points: Sequence[ExperimentPoint]) -> float:

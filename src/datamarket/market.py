@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -121,16 +120,11 @@ class AuctionOutcome:
         if self.allocations.shape != (n,) or self.payments.shape != (n,):
             raise ValueError("allocations and payments must align with customer_ids")
 
-    @cached_property
-    def _slot(self) -> dict[str, int]:
-        # built on the first lookup: most outcomes are never queried by id
-        return {cid: i for i, cid in enumerate(self.customer_ids)}
-
     def index_of(self, customer_id: str) -> int:
         """Position of a customer in the outcome arrays."""
         try:
-            return self._slot[customer_id]
-        except KeyError:
+            return self.customer_ids.index(customer_id)
+        except ValueError:
             raise KeyError(f"unknown customer {customer_id!r}") from None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import json
@@ -8,6 +9,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import datamarket
@@ -271,8 +273,17 @@ class TestExitCodes:
             assert cli_main([*argv, "--config", str(config)]) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         captured = capsys.readouterr()
+        assert "warning:" not in captured.err
         assert "inf" not in captured.out
         assert "error: Monte-Carlo profit overflows" in captured.err
+
+    def test_field_over_the_csv_size_limit(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text(f"q,performance\n1,0.5\n{'9' * 131073},0.6\n",
+                          encoding="utf-8")
+        assert cli_main(["fit", "--points", str(points)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {points}:3: field larger than field limit (131072)\n")
 
     def test_non_utf8_input(self, tmp_path, scenario_file, capsys):
         bids = tmp_path / "bids.csv"
@@ -291,6 +302,35 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "simulate", boom)
         assert cli_main(["simulate", "--config", scenario_file]) == 2
         assert "internal error" in capsys.readouterr().err
+
+
+class TestWarnings:
+    """cli_main prints each warning once as `warning: <message>`, whatever the
+    caller's filters (the suite turns warnings into errors), ahead of any
+    error line, and the exit code ignores it."""
+
+    @pytest.fixture
+    def negative_taxi(self, tmp_path):
+        path = tmp_path / "negative.cfg"
+        path.write_text(taxi_scenario_path().read_text(encoding="utf-8")
+                        .replace("a = 0.4944", "a = -0.1"), encoding="utf-8")
+        return str(path)
+
+    def test_warning_reported_once_per_call(self, negative_taxi, capsys):
+        for _ in range(2):
+            assert cli_main(["optimize", "--config", negative_taxi]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "warning: performance is negative at data size 1\n"
+            assert "q_star = " in captured.out
+
+    def test_warning_precedes_error(self, negative_taxi, capsys):
+        config = Path(negative_taxi)
+        config.write_text(config.read_text(encoding="utf-8").replace("q = 50\n", ""),
+                          encoding="utf-8")
+        assert cli_main(["simulate", "--config", negative_taxi]) == 1
+        assert capsys.readouterr().err == (
+            "warning: performance is negative at data size 1\n"
+            "error: scenario field q: required for simulation\n")
 
 
 class TestModuleEntryPoint:
@@ -424,3 +464,78 @@ CSV_GOLDEN_NAMES = sorted(f"{name}{suffix}" for name in CSV_GOLDEN_ARGS
 @pytest.mark.parametrize("name", CSV_GOLDEN_NAMES)
 def test_golden_csv_commands_are_byte_identical(name, tmp_path):
     assert run_csv_golden(name, tmp_path) == CSV_GOLDEN[name]
+
+
+# sweep and simulate at benchmark size, and auction, fit and metric on seeded
+# 2000-row files written with repr floats: SHA-256 of stdout, stderr and the
+# --out file of each command, recorded before cli_main reported warnings
+# itself.  The bids run up to 1.25 times the taxi support s at q = 50, and 1%
+# of them equal the price s/2 exactly.
+LARGE_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden_large.json").read_text(encoding="utf-8")
+)
+LARGE_ROWS = 2000
+LARGE_ARGS = {"auction": ["auction", "--bids", "bids.csv", "--config", "taxi"],
+              "fit": ["fit", "--points", "points.csv"],
+              "metric": ["metric", "--predictions", "preds.csv", "--tau", "180"]}
+for seed in SEEDS:
+    LARGE_ARGS[f"simulate-seed{seed}"] = ["simulate", "--config", "taxi",
+                                          "--trials", "100", "--seed", seed]
+    for param, lo, hi in (("q", "1", "100"), ("k", "0.05", "5"), ("gamma", "0.1", "3"),
+                          ("price", "0.05", "0.5")):
+        LARGE_ARGS[f"sweep-{param}-seed{seed}"] = [
+            "sweep", "--config", "taxi", "--param", param, "--lo", lo, "--hi", hi,
+            "--steps", "100", "--trials", "2", "--seed", seed,
+        ]
+
+
+def write_large_inputs(directory):
+    """The seeded 2000-row bids.csv, points.csv and preds.csv in directory."""
+    rng = np.random.default_rng(2000)
+    support = (0.4944 + 0.0079 * np.log(50.0)) * 1.0
+    bids = rng.uniform(0.0, 1.25 * support, LARGE_ROWS)
+    bids[rng.choice(LARGE_ROWS, LARGE_ROWS // 100, replace=False)] = support / 2.0
+    q = rng.uniform(0.5, 100.0, LARGE_ROWS)
+    performance = np.clip(0.4944 + 0.0079 * np.log(q)
+                          + rng.normal(0.0, 0.01, LARGE_ROWS), 0.0, 1.0)
+    y_true = rng.uniform(60.0, 3600.0, LARGE_ROWS)
+    y_pred = y_true + rng.normal(0.0, 180.0, LARGE_ROWS)
+    files = {
+        "bids.csv": ["customer_id,bid",
+                     *(f"c{i},{v!r}" for i, v in enumerate(bids.tolist()))],
+        "points.csv": ["q,performance",
+                       *(f"{x!r},{y!r}" for x, y in zip(q.tolist(), performance.tolist()))],
+        "preds.csv": ["y_true,y_pred",
+                      *(f"{x!r},{y!r}" for x, y in zip(y_true.tolist(), y_pred.tolist()))],
+    }
+    for name, lines in files.items():
+        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("large")
+    write_large_inputs(directory)
+    return directory
+
+
+def large_digests(name, directory):
+    """Run one large golden command in directory; SHA-256 of stdout, stderr and --out."""
+    inputs = {"taxi": str(taxi_scenario_path())}
+    argv = [inputs.get(arg, str(directory / arg) if arg.endswith(".csv") else arg)
+            for arg in LARGE_ARGS[name]]
+    out = directory / f"{name}.out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli_main(argv + ["--out", str(out)])
+    assert code == 0, stderr.getvalue()
+    return {stream: hashlib.sha256(data).hexdigest() for stream, data in (
+        ("stdout", stdout.getvalue().encode("utf-8")),
+        ("stderr", stderr.getvalue().encode("utf-8")),
+        ("out", out.read_bytes()),
+    )}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_ARGS))
+def test_large_golden_commands_are_byte_identical(name, large_inputs):
+    assert large_digests(name, large_inputs) == LARGE_GOLDEN[name]

@@ -102,6 +102,30 @@ def test_header_only_file_rejected(tmp_path, reader, header):
         reader(path)
 
 
+# each file has a quoted field spanning lines 2-3 and a bad row on line 4
+MULTI_LINE = [
+    (read_bids, 'customer_id,bid\n"a\nb",0.5\nc,-1\n'),
+    (read_predictions, 'y_true,y_pred\n"600\n",630\n900,nan\n'),
+    (read_experiment_points, 'q,performance\n"1\n",0.5\n10,2\n'),
+]
+
+
+@pytest.mark.parametrize("reader, text", MULTI_LINE, ids=("bids", "predictions", "points"))
+def test_line_numbers_count_lines_inside_quoted_fields(tmp_path, reader, text):
+    path = write(tmp_path, "multi.csv", text)
+    with pytest.raises(ValueError, match=r"multi\.csv:4: "):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader, text", MULTI_LINE, ids=("bids", "predictions", "points"))
+def test_field_over_the_csv_size_limit_names_its_line(tmp_path, reader, text):
+    header = text.split("\n", 1)[0]
+    path = write(tmp_path, "huge.csv", f"{header}\n1,1\n{'9' * 131073},1\n")
+    with pytest.raises(ValueError,
+                       match=r"huge\.csv:3: field larger than field limit \(131072\)"):
+        reader(path)
+
+
 @pytest.mark.parametrize(
     "reader, text",
     [(read_bids, "customer_id,bid\nalice,0.3\n"),

@@ -77,7 +77,6 @@ class TestFitUtility:
         assert report.curve.b == pytest.approx(0.01, abs=1e-9)
         assert report.rmse < 1e-12
         assert report.n_points == 4
-        assert not report.nonpositive_slope
 
     def test_two_points_determine_the_line(self):
         points = [
@@ -171,7 +170,6 @@ class TestFitUtility:
         ]
         with pytest.warns(UserWarning, match="not positive"):
             report = fit_utility(points)
-        assert report.nonpositive_slope
         assert report.curve.b < 0
 
 
