@@ -42,7 +42,11 @@ def _with_overrides(config, args):
 
 
 def _cmd_fit(args):
-    report = fit_utility(csvio.read_experiment_points(args.points))
+    points = csvio.read_experiment_points(args.points)
+    try:
+        report = fit_utility(points)
+    except ValueError as exc:
+        raise ValueError(f"{args.points}: {exc}") from None
     return {"a": report.curve.a, "b": report.curve.b, "rmse": report.rmse,
             "n_points": report.n_points}, None
 

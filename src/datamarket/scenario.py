@@ -8,6 +8,8 @@ from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from .market import (
     MarketParams,
     UtilityCurve,
@@ -58,11 +60,15 @@ class ScenarioConfig:
                 require_positive("tau", self.tau)
             if self.seed < 0:
                 raise ValueError(f"seed: must be >= 0, got {self.seed}")
+            with np.errstate(over="ignore"):  # the check below reports an overflow
+                top = data_utility(self.N, self.curve)
+            if not np.isfinite(top):
+                raise ValueError(f"b: performance a + b*ln(N) overflows at N={self.N}")
         except ValueError as exc:
             raise ValueError(f"scenario field {exc}") from None
         # performance plays the role of an accuracy-like rate even though the
         # curve itself is never clamped; flag scenarios that leave [0, 1]
-        if data_utility(self.N, self.curve) > 1.0:
+        if top > 1.0:
             warnings.warn(
                 f"performance exceeds 1 at the maximum data size N={self.N}",
                 stacklevel=2,
@@ -78,12 +84,11 @@ class ScenarioConfig:
     def curve(self) -> UtilityCurve:
         return UtilityCurve(a=self.a, b=self.b)
 
-    def model(self, q: float | None = None) -> ValuationModel:
-        """Valuation distribution at data size q (defaults to the configured q)."""
-        size = self.q if q is None else q
-        if size is None:
+    def model(self) -> ValuationModel:
+        """Valuation distribution at the configured data size q."""
+        if self.q is None:
             raise ValueError("scenario field q: required but not set")
-        return ValuationModel.from_market(self.curve, size, self.gamma)
+        return ValuationModel.from_market(self.curve, self.q, self.gamma)
 
 
 # the scenario keys are the ScenarioConfig fields, int or float, required where

@@ -4,7 +4,8 @@ simulate() replays the optimal posted-price sale on seeded valuation draws and
 compares realized profit with the analytic expectation.  sweep() tabulates
 analytic and simulated profit along a grid over one of {price, q, k, gamma},
 producing plot-ready rows.  Both run on one numpy array of M valuations per
-trial, with no per-customer objects, through the same trial loop.
+trial, with no per-customer objects, through the same trial loop, which builds
+each sale's valuation model and data cost from the market and the data size.
 """
 
 from __future__ import annotations
@@ -59,16 +60,18 @@ class SweepResultRow:
     empirical_std: float
 
 
-def _monte_carlo(model, price, M, cost, first_seed, trials):
-    """Profits n_winners*price - cost of posted-price sales, with mean and std.
+def _monte_carlo(params, curve, q, price, first_seed, trials):
+    """Profits n_winners*price - k*q of posted-price sales of q data units.
 
-    Trial t draws M valuations with seed first_seed + t; every customer valued
-    at or above the price buys.  The std is the sample one (0 for one trial).
-    A mean or std that overflows is a ValueError.
+    Trial t draws M valuations on [0, gamma*r(q)] with seed first_seed + t;
+    every customer valued at or above the price buys.  Returns the profits,
+    their mean and sample std (0 for one trial); an overflow is a ValueError.
     """
+    model = ValuationModel.from_market(curve, q, params.gamma)
+    cost = data_cost(q, params.k)
     profits = np.empty(trials)
     for t in range(trials):
-        values = sample_valuations(M, model, seed=first_seed + t)
+        values = sample_valuations(params.M, model, seed=first_seed + t)
         profits[t] = np.count_nonzero(values >= price) * price - cost
     with np.errstate(over="ignore"):  # the check below reports an overflow
         mean = float(profits.mean())
@@ -86,20 +89,14 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
     """
     if config.q is None:
         raise ValueError("scenario field q: required for simulation")
-    params = config.market
-    curve = config.curve
-    model = config.model()
-    analytic = expected_profit(config.q, params, curve)
-    price = optimal_price(curve, config.q, params.gamma)
-    cost = data_cost(config.q, params.k)
-
-    profits, mean, std = _monte_carlo(
-        model, price, params.M, cost, config.seed, config.trials
-    )
+    params, curve, q = config.market, config.curve, config.q
+    price = optimal_price(curve, q, params.gamma)
+    analytic = expected_profit(q, params, curve)
+    profits, mean, std = _monte_carlo(params, curve, q, price, config.seed, config.trials)
     se = std / math.sqrt(config.trials)
     return SimulationReport(
         M=params.M,
-        q=config.q,
+        q=q,
         threshold_price=price,
         trials=config.trials,
         seed=config.seed,
@@ -110,62 +107,6 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
         within_three_se=abs(mean - analytic) <= 3.0 * se,
         trial_profits=tuple(float(p) for p in profits),
     )
-
-
-def _point_function(config: ScenarioConfig, parameter: str, lo: float, hi: float):
-    """Check the bounds the swept parameter needs; return value -> point.
-
-    A point is (model, posted price, data cost, analytic profit, reported p*,
-    reported q*), or None where the purchase is rejected.  Row-independent
-    quantities are computed once, here.
-    """
-    params, curve = config.market, config.curve
-    if parameter == "price":
-        if config.q is None:
-            raise ValueError("scenario field q: required for a price sweep")
-        if lo < 0:
-            raise ValueError(f"price sweep needs lo >= 0, got {lo}")
-        model = config.model()
-        p_star = optimal_price(curve, config.q, params.gamma)
-        q_star = optimal_data_size(params, curve).q_star
-        cost = data_cost(config.q, params.k)
-
-        def price_point(p):
-            analytic = params.M * (1.0 - valuation_cdf(p, model)) * p - cost
-            return model, p, cost, analytic, p_star, q_star
-
-        return price_point
-
-    if parameter == "q":
-        if not (lo > 0 and hi <= params.N):
-            raise ValueError(
-                f"q sweep must stay within (0, {params.N}], got [{lo}, {hi}]"
-            )
-        q_star = optimal_data_size(params, curve).q_star
-
-        def size_point(q):
-            model = ValuationModel.from_market(curve, q, params.gamma)
-            price = optimal_price(curve, q, params.gamma)
-            analytic = expected_profit(q, params, curve)
-            return model, price, data_cost(q, params.k), analytic, price, q_star
-
-        return size_point
-
-    # k and gamma sweeps re-optimize the purchase at every grid value
-    if lo <= 0:
-        raise ValueError(f"{parameter} sweep needs lo > 0, got {lo}")
-
-    def market_point(value):
-        swept = replace(params, **{parameter: value})
-        report = optimal_data_size(swept, curve)
-        if report.rejected:
-            return None
-        q, price = report.q_star, report.price_at_q_star
-        model = ValuationModel.from_market(curve, q, swept.gamma)
-        analytic = report.expected_profit_at_q_star
-        return model, price, data_cost(q, swept.k), analytic, price, q
-
-    return market_point
 
 
 def sweep(
@@ -182,23 +123,51 @@ def sweep(
                 (all zero on rejected rows, where nothing is bought or sold).
     Rows follow grid order; Monte-Carlo columns use config.trials runs each.
     Row r, trial t draws with seed + r*trials + t, extending simulate()'s
-    per-trial seeding scheme across grid rows.
+    per-trial seeding scheme across grid rows; a rejected row draws nothing,
+    and later rows keep their seeds.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
     values = grid(lo, hi, steps).tolist()
-    point_at = _point_function(config, parameter, lo, hi)
+    params, curve, q = config.market, config.curve, config.q
+    if parameter == "price":
+        if q is None:
+            raise ValueError("scenario field q: required for a price sweep")
+        if lo < 0:
+            raise ValueError(f"price sweep needs lo >= 0, got {lo}")
+        # every row sells the service of the configured q
+        model, p_star = config.model(), optimal_price(curve, q, params.gamma)
+        q_star, cost = optimal_data_size(params, curve).q_star, data_cost(q, params.k)
+    elif parameter == "q":
+        if not (lo > 0 and hi <= params.N):
+            raise ValueError(
+                f"q sweep must stay within (0, {params.N}], got [{lo}, {hi}]"
+            )
+        q_star = optimal_data_size(params, curve).q_star
+    elif lo <= 0:  # k and gamma rows re-optimize, so they need no global q*
+        raise ValueError(f"{parameter} sweep needs lo > 0, got {lo}")
 
     rows: list[SweepResultRow] = []
     for r, value in enumerate(values):
-        point = point_at(value)
-        if point is None:
-            rows.append(SweepResultRow(value, 0.0, 0.0, 0.0, 0.0, 0.0))
-            continue
-        model, price, cost, *reported = point
+        market = params
+        if parameter == "price":
+            price = value
+            analytic = params.M * (1.0 - valuation_cdf(price, model)) * price - cost
+            columns = (analytic, p_star, q_star)
+        elif parameter == "q":
+            q, price = value, optimal_price(curve, value, params.gamma)
+            columns = (expected_profit(q, params, curve), price, q_star)
+        else:
+            market = replace(params, **{parameter: value})
+            report = optimal_data_size(market, curve)
+            if report.rejected:
+                rows.append(SweepResultRow(value, 0.0, 0.0, 0.0, 0.0, 0.0))
+                continue
+            q, price = report.q_star, report.price_at_q_star
+            columns = (report.expected_profit_at_q_star, price, q)
         seed = config.seed + r * config.trials
-        _, mean, std = _monte_carlo(model, price, config.M, cost, seed, config.trials)
-        rows.append(SweepResultRow(value, *reported, mean, std))
+        _, mean, std = _monte_carlo(market, curve, q, price, seed, config.trials)
+        rows.append(SweepResultRow(value, *columns, mean, std))
     return rows

@@ -68,6 +68,16 @@ class TestFit:
         assert cli_main(["fit", "--points", str(points)]) == 0
         assert "not positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, reason", [
+        ("5,0.5\n5,0.6\n", "need at least 2 distinct data sizes to identify a slope"),
+        ("5,0.5\n", "need at least 2 experiment points, got 1"),
+    ])
+    def test_unfittable_points_name_their_file(self, tmp_path, rows, reason, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("q,performance\n" + rows, encoding="utf-8")
+        assert cli_main(["fit", "--points", str(points)]) == 1
+        assert capsys.readouterr().err == f"error: {points}: {reason}\n"
+
 
 class TestMetric:
     def test_reports_rate(self, tmp_path, capsys):
@@ -277,6 +287,18 @@ class TestExitCodes:
         assert "inf" not in captured.out
         assert "error: Monte-Carlo profit overflows" in captured.err
 
+    @pytest.mark.parametrize("command", ["optimize", "simulate"])
+    def test_performance_overflow_names_file_and_field(self, tmp_path, command,
+                                                       capsys):
+        # a + b*ln(N) with b = 1e308 overflows; the scenario is refused on load
+        config = tmp_path / "huge.cfg"
+        config.write_text(taxi_scenario_path().read_text(encoding="utf-8")
+                          .replace("b = 0.0079", "b = 1e308"), encoding="utf-8")
+        assert cli_main([command, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: scenario field b: performance a + b*ln(N) "
+            "overflows at N=100.0\n")
+
     def test_field_over_the_csv_size_limit(self, tmp_path, capsys):
         points = tmp_path / "points.csv"
         points.write_text(f"q,performance\n1,0.5\n{'9' * 131073},0.6\n",
@@ -434,6 +456,15 @@ CSV_GOLDEN_ARGS = {
     "optimize": ["optimize", "--config", "market.cfg"],
     "optimize-rejected": ["optimize", "--config", "reject.cfg"],
 }
+# sweeps across the rejection boundary of reject.cfg: two rejected gamma rows
+# before three sold ones, whose seeds skip the rejected rows' seeds, and two
+# sold k rows before three rejected ones
+for param, lo, hi in (("gamma", "50", "150"), ("k", "0.001", "0.02")):
+    for seed in SEEDS:
+        CSV_GOLDEN_ARGS[f"sweep-{param}-rejected-seed{seed}"] = [
+            "sweep", "--config", "reject.cfg", "--param", param, "--lo", lo,
+            "--hi", hi, "--steps", "5", "--trials", "5", "--seed", seed,
+        ]
 
 
 def run_csv_golden(name, directory):

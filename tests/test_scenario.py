@@ -2,7 +2,6 @@ import pytest
 
 from datamarket import (
     ScenarioConfig,
-    data_utility,
     load_scenario,
     parse_scenario,
     taxi_scenario,
@@ -108,9 +107,6 @@ class TestValidation:
         config = ScenarioConfig(**self.base(q=None))
         with pytest.raises(ValueError, match="field q"):
             config.model()
-        assert config.model(10.0).support_max == pytest.approx(
-            data_utility(10.0, config.curve) * config.gamma
-        )
 
 
 class TestBundledScenario:

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,32 @@ class TestSweepResults:
         assert tail.optimal_q == 0.0
         assert tail.optimal_price == 0.0
         assert (tail.empirical_mean, tail.empirical_std) == (0.0, 0.0)
+
+    def test_row_seeds_skip_rejected_rows(self, monkeypatch):
+        # row r, trial t draws with seed + r*trials + t; the first two gamma
+        # rows are rejected and draw nothing
+        module = importlib.import_module("datamarket.simulate")
+        original = module.sample_valuations
+        seeds = []
+
+        def recording(M, model, *, seed):
+            seeds.append(seed)
+            return original(M, model, seed=seed)
+
+        monkeypatch.setattr(module, "sample_valuations", recording)
+        config = small_config(M=10, k=1.0, a=0.001, b=0.01, q=None, seed=0, trials=3)
+        rows = sweep(config, "gamma", 50.0, 150.0, 5)
+        assert [row.optimal_q > 0 for row in rows] == [False, False, True, True, True]
+        assert seeds == list(range(6, 15))
+
+    def test_gamma_sweep_runs_where_the_base_optimum_overflows(self):
+        # M*gamma = 5e309 at the configured gamma; gamma rows re-optimize at
+        # their own gamma, so only the sweeps that report the global q* fail
+        config = small_config(gamma=1e307, trials=2)
+        with pytest.raises(ValueError, match="expected profit overflows"):
+            sweep(config, "q", 1.0, 100.0, 3)
+        rows = sweep(config, "gamma", 0.5, 2.0, 3)
+        assert all(row.expected_profit > 0 for row in rows)
 
     def test_gamma_sweep_linear_profit_and_clamped_size(self):
         config = small_config(M=10_000, trials=2)
