@@ -86,7 +86,8 @@ class ValuationModel:
     def from_market(cls, curve: UtilityCurve, q: float, gamma: float) -> "ValuationModel":
         """Valuation distribution for a service built from q data units."""
         require_positive("gamma", gamma)
-        return cls(support_max=data_utility(q, curve) * gamma)
+        r = require_positive(f"performance at data size {q}", data_utility(q, curve))
+        return cls(support_max=r * gamma)
 
 
 @dataclass(frozen=True)
@@ -128,37 +129,37 @@ class AuctionOutcome:
             raise KeyError(f"unknown customer {customer_id!r}") from None
 
 
-def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
-    """Raise a ValueError naming `name` unless value is finite and > 0 (>= 0).
+def require_positive(name: str, value, allow_zero: bool = False):
+    """value, checked to be finite and > 0 (>= 0), else a ValueError naming `name`.
 
-    Scalar only: per-row record constructors call it, so it stays free of
-    numpy.  Arrays go through _positive_array.
+    A Python float or int is checked and returned as it is, with no numpy:
+    per-row record constructors call this.  A str, which numpy would parse,
+    fails there with a TypeError.  Anything else is returned as a float array,
+    checked on its one value if 0-d, else on its min and then its max; both
+    reductions propagate NaN, so a NaN anywhere fails.
     """
-    if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
-        kind = "non-negative" if allow_zero else "positive"
-        raise ValueError(f"{name}: must be {kind} and finite, got {value}")
-
-
-def _positive_array(name: str, values, allow_zero: bool = False) -> np.ndarray:
-    """values as a float array, checked by require_positive on its min and max.
-
-    Both reductions propagate NaN, so a NaN anywhere fails the check.
-    """
-    arr = np.asarray(values, dtype=float)
-    for bound in (arr.min(), arr.max()):
+    if type(value) is float or type(value) is int or isinstance(value, str):
+        if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+            kind = "non-negative" if allow_zero else "positive"
+            raise ValueError(f"{name}: must be {kind} and finite, got {value}")
+        return value
+    arr = np.asarray(value, dtype=float)
+    for bound in (arr.min(), arr.max()) if arr.ndim else (arr,):
         require_positive(name, float(bound), allow_zero)
     return arr
 
 
-def _unwrap(out: np.ndarray):
-    """A Python float for a 0-d result (from a scalar input), else the array."""
-    return float(out) if out.ndim == 0 else out
+def _unwrap(out):
+    """A Python float for a scalar or 0-d result, else the array."""
+    return out if getattr(out, "ndim", 0) else float(out)
 
 
 def data_cost(q, k: float):
     """Cost k*q of buying q data units at unit cost k; q may be an array."""
     require_positive("k", k)
-    return _unwrap(k * _positive_array("data size", q, True))
+    with np.errstate(over="ignore"):  # an infinite cost is reported below
+        cost = k * require_positive("data size", q, True)
+    return _unwrap(require_positive("data cost k*q", cost, True))
 
 
 def data_utility(q, curve: UtilityCurve):
@@ -168,7 +169,7 @@ def data_utility(q, curve: UtilityCurve):
     The value is deliberately not clamped to [0, 1]: the profit formulas use
     the raw logarithm, and clamping would break their closed forms.
     """
-    return _unwrap(curve.a + curve.b * np.log(_positive_array("data size", q)))
+    return _unwrap(curve.a + curve.b * np.log(require_positive("data size", q)))
 
 
 def valuation_cdf(v, model: ValuationModel):

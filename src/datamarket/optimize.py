@@ -12,7 +12,6 @@ from .auction import optimal_price
 from .market import (
     MarketParams,
     UtilityCurve,
-    _positive_array,
     _unwrap,
     data_cost,
     data_utility,
@@ -50,7 +49,7 @@ def expected_profit(q, params: MarketParams, curve: UtilityCurve):
     (giving a float) or an array of sizes in [0, N].
     """
     require_positive("utility-curve slope b", curve.b)
-    qs = _positive_array("data size", q, True)
+    qs = np.asarray(require_positive("data size", q, True), dtype=float)
     if qs.max() > params.N:
         raise ValueError(f"data size must lie in [0, {params.N}], got {qs.max()}")
     bought = qs > 0

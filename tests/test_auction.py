@@ -179,6 +179,11 @@ class TestRunAuction:
             else:
                 assert bid.bid < result.threshold_price
 
+    def test_repeated_customer_id_rejected(self):
+        with pytest.raises(ValueError, match="customer ids must be unique"):
+            run_auction([CustomerBid("c1", 0.3), CustomerBid("c1", 0.1)], TAXI_MODEL,
+                        q=50.0, k=0.5)
+
     def test_empty_bids_rejected(self):
         with pytest.raises(ValueError):
             run_auction([], TAXI_MODEL, q=50.0, k=0.5)

@@ -269,6 +269,23 @@ class TestExitCodes:
         assert "error: expected profit overflows" in captured.err
 
     @pytest.mark.parametrize("argv", [
+        ["auction", "--bids", "bids.csv"],
+        ["simulate", "--trials", "3"],
+        ["sweep", "--param", "price", "--lo", "0", "--hi", "1", "--steps", "3"],
+    ])
+    def test_data_cost_overflow(self, tmp_path, argv, capsys):
+        # k*q = 1e307 * 50 overflows
+        config = tmp_path / "huge.cfg"
+        config.write_text(SCENARIO.replace("k = 0.5\n", "k = 1e307\n"), encoding="utf-8")
+        (tmp_path / "bids.csv").write_text("customer_id,bid\nalice,0.6\n", encoding="utf-8")
+        argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
+        assert cli_main([*argv, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert "inf" not in captured.out
+        assert "warning:" not in captured.err
+        assert "error: data cost k*q" in captured.err
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--trials", "3"],
         ["sweep", "--param", "gamma", "--lo", "1", "--hi", "1e303", "--steps", "3",
          "--trials", "3"],

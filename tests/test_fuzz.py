@@ -118,6 +118,8 @@ WARNS = "".join(f"{key} = {value}\n" for key, value in {**SCENARIO, "a": "-1"}.i
 @FUZZ
 @example(text=WARNS, command=["optimize"])
 @example(text=WARNS.replace("q = 50\n", ""), command=["simulate"])
+@example(text="".join(f"{key} = {value}\n" for key, value in {**SCENARIO, "k": "1e308"}.items()),
+         command=["auction", "--bids", "bids.csv"])
 @given(text=scenario_texts(),
        command=st.sampled_from([["optimize"], ["simulate"],
                                 ["sweep", "--param", "gamma", "--lo", "0.5", "--hi", "2",

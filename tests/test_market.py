@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from datamarket import (
+    AuctionOutcome,
     CustomerBid,
     MarketParams,
     UtilityCurve,
@@ -63,9 +64,22 @@ class TestTypes:
         model = ValuationModel.from_market(TAXI_CURVE, 50.0, 2.0)
         assert model.support_max == data_utility(50.0, TAXI_CURVE) * 2.0
 
+    def test_model_from_market_names_a_nonpositive_performance(self):
+        with pytest.raises(ValueError, match="^performance at data size 50.0: must be pos"):
+            ValuationModel.from_market(UtilityCurve(a=-0.1, b=0.0079), 50.0, 1.0)
+
+    def test_outcome_arrays_must_align_with_ids(self):
+        with pytest.raises(ValueError, match="must align"):
+            AuctionOutcome(customer_ids=("a", "b"), allocations=np.zeros(2, np.int8),
+                           payments=np.zeros(3), gross_profit=0.0)
+
     def test_bid_rejects_negative(self):
         with pytest.raises(ValueError):
             CustomerBid("c1", -0.1)
+
+    def test_bid_rejects_text(self):
+        with pytest.raises(TypeError):
+            CustomerBid("c1", "0.3")
 
 
 class TestDataCost:
@@ -83,6 +97,11 @@ class TestDataCost:
     def test_nonpositive_unit_cost_rejected(self):
         with pytest.raises(ValueError):
             data_cost(1.0, 0.0)
+
+    def test_overflowing_cost_rejected(self):
+        for q in (50.0, np.float64(50.0), np.array([1.0, 50.0])):
+            with pytest.raises(ValueError, match=r"^data cost k\*q: .* got inf"):
+                data_cost(q, 1e307)
 
 
 class TestDataUtility:
