@@ -27,6 +27,7 @@ __all__ = [
     "inverse_virtual",
     "optimal_price",
     "posted_price",
+    "sale_profit",
     "run_auction",
     "customer_utility",
 ]
@@ -87,6 +88,11 @@ def posted_price(values: np.ndarray, model: ValuationModel) -> tuple[np.ndarray,
     return values >= price, price
 
 
+def sale_profit(n_winners: int, price: float, cost: float) -> float:
+    """Profit of a posted-price sale: n_winners*price minus the cost of its data."""
+    return n_winners * price - cost
+
+
 def run_auction(
     bids: Sequence[CustomerBid],
     model: ValuationModel,
@@ -110,7 +116,7 @@ def run_auction(
     virtual = virtual_valuation(np.minimum(values, model.support_max), model)
     payments = np.where(winners, price, 0.0)
     allocations = winners.astype(np.int8)
-    gross = np.count_nonzero(winners) * price - cost
+    gross = sale_profit(np.count_nonzero(winners), price, cost)
     for arr in (allocations, payments, virtual):
         arr.setflags(write=False)
     outcome = AuctionOutcome(

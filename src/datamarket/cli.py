@@ -13,11 +13,15 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
+import numpy as np
+
 from . import csvio
-from .auction import run_auction
-from .fitting import fit_utility, satisfaction_rate
+from .auction import posted_price, sale_profit
+from .fitting import hit_rate, least_squares_fit
+from .market import data_cost
 from .optimize import optimal_data_size
 from .scenario import load_scenario
 from .simulate import SWEEP_PARAMETERS, simulate, sweep
@@ -41,48 +45,59 @@ def _with_overrides(config, args):
     return replace(config, **updates) if updates else config
 
 
+@contextmanager
+def _naming(path):
+    """Prefix path to a ValueError raised inside: the values read from it caused it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_fit(args):
     points = csvio.read_experiment_points(args.points)
-    try:
-        report = fit_utility(points)
-    except ValueError as exc:
-        raise ValueError(f"{args.points}: {exc}") from None
+    with _naming(args.points):
+        report = least_squares_fit(points["q"], points["performance"])
     return {"a": report.curve.a, "b": report.curve.b, "rmse": report.rmse,
             "n_points": report.n_points}, None
 
 
 def _cmd_metric(args):
     records = csvio.read_predictions(args.predictions)
-    rate = satisfaction_rate(records, args.tau)
+    rate = hit_rate(records["y_true"], records["y_pred"], args.tau)
     return {"satisfaction_rate": rate, "n_records": len(records), "tau": args.tau}, None
 
 
 def _cmd_auction(args):
     config = load_scenario(args.config)
     if config.q is None:
-        raise ValueError("scenario field q: required for an auction run")
+        raise ValueError(f"{args.config}: scenario field q: required for an auction run")
     bids = csvio.read_bids(args.bids)
-    result = run_auction(bids, config.model(), q=config.q, k=config.k)
-    outcome = result.outcome
-    summary = {"threshold_price": result.threshold_price,
-               "winners": int(outcome.allocations.sum()),
-               "gross_profit": outcome.gross_profit}
+    with _naming(args.config):
+        model, cost = config.model(), data_cost(config.q, config.k)
+    winners, price = posted_price(bids["bid"], model)
+    n_winners = np.count_nonzero(winners)
+    summary = {"threshold_price": price, "winners": n_winners,
+               "gross_profit": sale_profit(n_winners, price, cost)}
     header = ("customer_id", "bid", "allocation", "payment")
-    columns = (outcome.customer_ids, [bid.bid for bid in bids],
-               outcome.allocations, outcome.payments)
+    columns = (bids["customer_id"], bids["bid"], winners.astype(np.int8),
+               np.where(winners, price, 0.0))
     return summary, lambda out: csvio.write_table(header, columns, out)
 
 
 def _cmd_optimize(args):
     config = load_scenario(args.config)
-    report = optimal_data_size(config.market, config.curve)
+    with _naming(args.config):
+        report = optimal_data_size(config.market, config.curve)
     return {"q_star": report.q_star, "optimal_price": report.price_at_q_star,
             "expected_profit": report.expected_profit_at_q_star,
             "rejected": report.rejected}, None
 
 
 def _cmd_simulate(args):
-    report = simulate(_with_overrides(load_scenario(args.config), args))
+    config = _with_overrides(load_scenario(args.config), args)
+    with _naming(args.config):
+        report = simulate(config)
     return {field.name: getattr(report, field.name) for field in fields(report)
             if field.name != "trial_profits"}, None
 

@@ -1,6 +1,9 @@
 """CSV readers, and the writers of every CLI output: tables and summaries.
 
 All files are UTF-8 with a mandatory header row and `.` as decimal separator.
+A reader returns a numpy structured array with one field per header name and
+one element per data row, after checking whole columns; a file that fails a
+check is read again row by row to name the first faulty line.
 Emitted values use a fixed 6-significant-digit format so outputs diff cleanly.
 """
 
@@ -9,8 +12,11 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .fitting import ExperimentPoint, PredictionRecord
 from .market import CustomerBid
@@ -37,6 +43,8 @@ POINT_HEADER = ("q", "performance")
 SWEEP_HEADER = tuple(field.name for field in fields(SweepResultRow))
 # where a writer's output goes: a path, or an open text stream
 Destination = IO[str] | str | Path
+# rows a reader converts at a time: bounds the rows held as Python lists
+_CHUNK_ROWS = 1024
 
 
 def format_sig(x: float) -> str:
@@ -54,6 +62,12 @@ def _opened(out: Destination):
         yield out
 
 
+def _read_header(path, reader, header: Sequence[str]) -> None:
+    first = next(reader, None)
+    if first is None or [cell.strip() for cell in first] != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)!r}")
+
+
 def _read_records(path, header: Sequence[str], record: Callable) -> list:
     """record(line, *fields) of every data row; its ValueError gets path:line.
 
@@ -62,9 +76,7 @@ def _read_records(path, header: Sequence[str], record: Callable) -> list:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            first = next(reader, None)
-            if first is None or [cell.strip() for cell in first] != list(header):
-                raise ValueError(f"{path}: expected header {','.join(header)!r}")
+            _read_header(path, reader, header)
             records = []
             for row in reader:
                 if not row:
@@ -84,6 +96,50 @@ def _read_records(path, header: Sequence[str], record: Callable) -> list:
     return records
 
 
+def _parse_columns(path, header: Sequence[str], kinds: Sequence[type]) -> np.ndarray:
+    """Every data row of path in a structured array with one field per header name.
+
+    Rows are converted _CHUNK_ROWS at a time, float fields with float(), so
+    only one chunk is ever held as Python lists.  Any fault is a ValueError or
+    a csv.Error that says nothing of where it is.
+    """
+    dtype = np.dtype(list(zip(header, kinds)))
+    parts = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        _read_header(path, reader, header)
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            if not all(chunk):  # a blank line is no row
+                chunk = [row for row in chunk if row]
+            if set(map(len, chunk)) - {len(header)}:
+                raise ValueError("a row has the wrong number of fields")
+            part = np.empty(len(chunk), dtype)
+            for name, kind, column in zip(header, kinds, zip(*chunk)):
+                part[name] = (np.fromiter(map(float, column), float, len(column))
+                              if kind is float else column)
+            parts.append(part)
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
+def _read_table(path, header: Sequence[str], kinds: Sequence[type],
+                valid: Callable[[np.ndarray], bool], record: Callable) -> np.ndarray:
+    """path's data rows as a structured array, once valid(table) holds on them.
+
+    The column pass only decides whether the file is valid.  If it is not,
+    _read_records reads the file again row by row with record, which raises
+    the first fault in file order as path:line, the same message whichever
+    check the column pass failed.
+    """
+    try:
+        table = _parse_columns(path, header, kinds)
+        if len(table) and valid(table):
+            return table
+    except (ValueError, csv.Error):  # any fault; UnicodeDecodeError is a ValueError
+        pass
+    _read_records(path, header, record)
+    raise RuntimeError(f"{path}: the row reader accepted a file the column check refused")
+
+
 def _number(name: str, value: str) -> float:
     try:
         return float(value)
@@ -91,8 +147,16 @@ def _number(name: str, value: str) -> float:
         raise ValueError(f"field {name} must be a number, got {value!r}") from None
 
 
-def read_bids(path) -> list[CustomerBid]:
-    """Load sealed bids from a `customer_id,bid` CSV file; ids must be unique."""
+def _finite(column: np.ndarray) -> bool:
+    return bool(np.isfinite(column).all())
+
+
+def read_bids(path) -> np.ndarray:
+    """Sealed bids from a `customer_id,bid` CSV file, one row per bid.
+
+    Returns a structured array with the fields of BID_HEADER: customer_id
+    (str objects, unique) and bid (float, finite and non-negative).
+    """
     first_line: dict[str, int] = {}
 
     def bid(line, cid, value):
@@ -101,30 +165,51 @@ def read_bids(path) -> list[CustomerBid]:
             raise ValueError(f"duplicate customer_id {cid!r}, first on line {first}")
         return CustomerBid(customer_id=cid, bid=_number("bid", value))
 
-    return _read_records(path, BID_HEADER, bid)
+    def valid(table):
+        ids, bids = table["customer_id"].tolist(), table["bid"]
+        return len(set(ids)) == len(ids) and _finite(bids) and (bids >= 0).all()
+
+    return _read_table(path, BID_HEADER, (object, float), valid, bid)
 
 
-def read_predictions(path) -> list[PredictionRecord]:
-    """Load prediction pairs from a `y_true,y_pred` CSV file."""
+def read_predictions(path) -> np.ndarray:
+    """Prediction pairs from a `y_true,y_pred` CSV file, one row per pair.
+
+    Returns a structured array with the float fields of PREDICTION_HEADER,
+    all finite.
+    """
 
     def record(_, y_true, y_pred):
         return PredictionRecord(_number("y_true", y_true), _number("y_pred", y_pred))
 
-    return _read_records(path, PREDICTION_HEADER, record)
+    def valid(table):
+        return _finite(table["y_true"]) and _finite(table["y_pred"])
+
+    return _read_table(path, PREDICTION_HEADER, (float, float), valid, record)
 
 
-def read_experiment_points(path) -> list[ExperimentPoint]:
-    """Load experiment points from a `q,performance` CSV file."""
+def read_experiment_points(path) -> np.ndarray:
+    """Experiment points from a `q,performance` CSV file, one row per point.
+
+    Returns a structured array with the float fields of POINT_HEADER: q
+    finite and positive, performance in [0, 1].
+    """
 
     def point(_, q, alpha):
         return ExperimentPoint(q=_number("q", q), alpha=_number("performance", alpha))
 
-    return _read_records(path, POINT_HEADER, point)
+    def valid(table):
+        q, alpha = table["q"], table["performance"]
+        return _finite(q) and (q > 0).all() and ((alpha >= 0) & (alpha <= 1)).all()
+
+    return _read_table(path, POINT_HEADER, (float, float), valid, point)
 
 
 def write_table(header: Sequence[str], columns: Sequence, out: Destination) -> None:
     """Write a CSV table of equal-length columns to a path or an open text stream."""
-    # format by column, not by cell: a column of floats has a float first
+    # Python scalars format faster than numpy's; a column of floats has a float first
+    columns = [column.tolist() if isinstance(column, np.ndarray) else column
+               for column in columns]
     cells = [map(format_sig, column) if len(column) and isinstance(column[0], float)
              else column for column in columns]
     with _opened(out) as fh:

@@ -16,7 +16,9 @@ __all__ = [
     "ExperimentPoint",
     "FitReport",
     "satisfaction_rate",
+    "hit_rate",
     "fit_utility",
+    "least_squares_fit",
     "evaluate_fit",
 ]
 
@@ -63,35 +65,51 @@ class FitReport:
 
 def satisfaction_rate(records: Sequence[PredictionRecord], tau: float) -> float:
     """Fraction of predictions with absolute error strictly below tau."""
-    if len(records) == 0:
+    n = len(records)
+    return hit_rate(np.fromiter((r.y_true for r in records), dtype=float, count=n),
+                    np.fromiter((r.y_pred for r in records), dtype=float, count=n), tau)
+
+
+def hit_rate(y_true: np.ndarray, y_pred: np.ndarray, tau: float) -> float:
+    """Fraction of aligned finite pairs with |y_true - y_pred| < tau.
+
+    The array core of satisfaction_rate().
+    """
+    if len(y_true) == 0:
         raise ValueError("records must be non-empty")
     require_positive("tolerance", tau)
-    hits = sum(1 for r in records if abs(r.y_true - r.y_pred) < tau)
-    return hits / len(records)
+    with np.errstate(over="ignore"):  # an infinite error is simply no hit
+        hits = np.count_nonzero(np.abs(y_true - y_pred) < tau)
+    return hits / len(y_true)
 
 
 def fit_utility(points: Sequence[ExperimentPoint]) -> FitReport:
-    """Fit performance = a + b*ln(q) to experiment points by least squares.
+    """Fit performance = a + b*ln(q) to experiment points by least squares."""
+    return least_squares_fit(*_columns(points))
+
+
+def least_squares_fit(q: np.ndarray, alpha: np.ndarray) -> FitReport:
+    """Fit alpha = a + b*ln(q) to aligned arrays of positive q by least squares.
 
     The model is linear in (a, b) once q is log-transformed, so the exact
     minimizer of the mean squared residual comes from the 2x2 normal
-    equations; no iterative solver, no starting point, no tolerances.
+    equations; no iterative solver, no starting point, no tolerances.  The
+    array core of fit_utility().
     """
-    if len(points) < 2:
-        raise ValueError(f"need at least 2 experiment points, got {len(points)}")
-    q, y = _columns(points)
+    if len(q) < 2:
+        raise ValueError(f"need at least 2 experiment points, got {len(q)}")
     x = np.log(q)
     if np.unique(x).size < 2:
         raise ValueError("need at least 2 distinct data sizes to identify a slope")
 
     xc = x - x.mean()
-    b = float((xc * (y - y.mean())).sum() / (xc * xc).sum())
-    a = float(y.mean() - b * x.mean())
+    b = float((xc * (alpha - alpha.mean())).sum() / (xc * xc).sum())
+    a = float(alpha.mean() - b * x.mean())
     curve = UtilityCurve(a=a, b=b)
     if b <= 0:
         warnings.warn("fitted slope is not positive; profit optimization "
                       "will refuse this curve", stacklevel=2)
-    return FitReport(curve=curve, rmse=_rmse(curve, q, y), n_points=len(points))
+    return FitReport(curve=curve, rmse=_rmse(curve, q, alpha), n_points=len(q))
 
 
 def evaluate_fit(curve: UtilityCurve, points: Sequence[ExperimentPoint]) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .auction import optimal_price
+from .auction import optimal_price, sale_profit
 from .market import ValuationModel, data_cost, sample_valuations, valuation_cdf
 from .optimize import expected_profit, grid, optimal_data_size
 from .scenario import ScenarioConfig
@@ -72,7 +72,7 @@ def _monte_carlo(params, curve, q, price, first_seed, trials):
     profits = np.empty(trials)
     for t in range(trials):
         values = sample_valuations(params.M, model, seed=first_seed + t)
-        profits[t] = np.count_nonzero(values >= price) * price - cost
+        profits[t] = sale_profit(np.count_nonzero(values >= price), price, cost)
     with np.errstate(over="ignore"):  # the check below reports an overflow
         mean = float(profits.mean())
         std = float(profits.std(ddof=1)) if trials > 1 else 0.0

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import datamarket
-from datamarket import cli, csvio, taxi_scenario_path
+from datamarket import (
+    CustomerBid,
+    ExperimentPoint,
+    PredictionRecord,
+    cli,
+    csvio,
+    taxi_scenario_path,
+)
 from datamarket.cli import cli_main
 
 SCENARIO = """M = 300
@@ -120,7 +127,61 @@ class TestAuction:
         bids = tmp_path / "bids.csv"
         bids.write_text("customer_id,bid\nalice,0.6\n", encoding="utf-8")
         assert cli_main(["auction", "--bids", str(bids), "--config", str(config)]) == 1
-        assert "field q" in capsys.readouterr().err
+        assert f"error: {config}: scenario field q:" in capsys.readouterr().err
+
+
+class TestColumnPath:
+    """auction, fit and metric run the array cores on the columns the readers
+    return: a valid file builds no per-row record."""
+
+    FILES = {  # a blank line and a quoted field spanning lines in each
+        "bids.csv": ('customer_id,bid\nalice,0.6\n\n"bob\nby",0.3\ncarol,0.1\n',
+                     csvio.read_bids),
+        "points.csv": ('q,performance\n1,0.49\n\n"20\n",0.518\n100,0.531\n',
+                       csvio.read_experiment_points),
+        "preds.csv": ('y_true,y_pred\n600,630\n\n"600\n",850\n540,720\n',
+                      csvio.read_predictions),
+    }
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Names of the records constructed while the test runs."""
+        names = []
+        for record in (CustomerBid, ExperimentPoint, PredictionRecord):
+            def counting(self, check=record.__post_init__):
+                names.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(record, "__post_init__", counting)
+        return names
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        for name, (text, _) in self.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        return tmp_path
+
+    def test_valid_files_build_no_records(self, files, scenario_file, built, capsys):
+        for argv in (["auction", "--bids", "bids.csv", "--config", scenario_file],
+                     ["fit", "--points", "points.csv"],
+                     ["metric", "--predictions", "preds.csv", "--tau", "60"]):
+            argv = [str(files / arg) if arg.endswith(".csv") else arg for arg in argv]
+            assert cli_main(argv) == 0, capsys.readouterr().err
+        assert built == []
+        assert '"bob\nby",0.3,1,' in capsys.readouterr().out
+
+    def test_reader_length_is_the_row_count(self, files, built):
+        for name, (_, reader) in self.FILES.items():
+            assert len(reader(files / name)) == 3
+        assert built == []
+
+    def test_a_refused_file_is_read_again_as_records(self, files, built):
+        # the counting hook sees the row path, so the tests above can fail
+        path = files / "bids.csv"
+        path.write_text("customer_id,bid\nalice,0.6\nbob,-1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bids\.csv:3: bid: must be non-negative"):
+            csvio.read_bids(path)
+        assert built == ["CustomerBid", "CustomerBid"]
 
 
 class TestOptimize:
@@ -266,7 +327,9 @@ class TestExitCodes:
         assert cli_main([*argv, "--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert "inf" not in captured.out
-        assert "error: expected profit overflows" in captured.err
+        # a sweep's grid comes from its flags, so only the others name the file
+        named = "" if argv[0] == "sweep" else f"{config}: "
+        assert f"error: {named}expected profit overflows" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["auction", "--bids", "bids.csv"],
@@ -283,7 +346,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "inf" not in captured.out
         assert "warning:" not in captured.err
-        assert "error: data cost k*q" in captured.err
+        named = "" if argv[0] == "sweep" else f"{config}: "
+        assert f"error: {named}data cost k*q" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--trials", "3"],
@@ -302,7 +366,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "warning:" not in captured.err
         assert "inf" not in captured.out
-        assert "error: Monte-Carlo profit overflows" in captured.err
+        named = "" if argv[0] == "sweep" else f"{config}: "
+        assert f"error: {named}Monte-Carlo profit overflows" in captured.err
 
     @pytest.mark.parametrize("command", ["optimize", "simulate"])
     def test_performance_overflow_names_file_and_field(self, tmp_path, command,
@@ -369,7 +434,7 @@ class TestWarnings:
         assert cli_main(["simulate", "--config", negative_taxi]) == 1
         assert capsys.readouterr().err == (
             "warning: performance is negative at data size 1\n"
-            "error: scenario field q: required for simulation\n")
+            f"error: {negative_taxi}: scenario field q: required for simulation\n")
 
 
 class TestModuleEntryPoint:
@@ -389,8 +454,11 @@ class TestModuleEntryPoint:
 class TestBenchmarkBindings:
     """The benchmark traces layers by rebinding module attributes, and skips a
     binding that no longer exists; these tests keep every binding it names but
-    ("datamarket.simulate", "run_auction"), gone since simulate stopped running
-    the auction adapter."""
+    the record adapters' ones in GONE: simulate stopped running the auction
+    adapter, and the CLI runs the array cores on the columns it reads."""
+
+    GONE = {("datamarket.simulate", "run_auction"), ("datamarket.cli", "run_auction"),
+            ("datamarket.cli", "fit_utility"), ("datamarket.cli", "satisfaction_rate")}
 
     def test_cli_and_csvio_layers_resolve(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -398,9 +466,8 @@ class TestBenchmarkBindings:
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
         bindings = [binding for bindings in tracer.LAYERS.values()
-                    for binding in bindings
-                    if binding != ("datamarket.simulate", "run_auction")]
-        assert len(bindings) == sum(map(len, tracer.LAYERS.values())) - 1
+                    for binding in bindings if binding not in self.GONE]
+        assert len(bindings) == sum(map(len, tracer.LAYERS.values())) - len(self.GONE)
         for module, attr in bindings:
             assert callable(getattr(importlib.import_module(module), attr, None)), attr
 

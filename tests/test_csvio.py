@@ -1,10 +1,15 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from datamarket import SweepResultRow, load_scenario
+from datamarket import SweepResultRow, csvio, load_scenario
 from datamarket.csvio import (
+    BID_HEADER,
+    POINT_HEADER,
+    PREDICTION_HEADER,
     SWEEP_HEADER,
     format_sig,
     read_bids,
@@ -26,7 +31,9 @@ class TestReadBids:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "bids.csv", "customer_id,bid\nalice,0.30\nbob,0.10\n")
         bids = read_bids(path)
-        assert [(b.customer_id, b.bid) for b in bids] == [("alice", 0.3), ("bob", 0.1)]
+        assert bids.dtype.names == BID_HEADER
+        assert bids["customer_id"].tolist() == ["alice", "bob"]
+        assert bids["bid"].tolist() == [0.3, 0.1]
 
     def test_wrong_header_rejected(self, tmp_path):
         path = write(tmp_path, "bids.csv", "id,amount\nalice,0.30\n")
@@ -66,7 +73,9 @@ class TestReadPredictions:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "preds.csv", "y_true,y_pred\n600,630\n900,1200\n")
         records = read_predictions(path)
-        assert [(r.y_true, r.y_pred) for r in records] == [(600.0, 630.0), (900.0, 1200.0)]
+        assert records.dtype.names == PREDICTION_HEADER
+        assert records["y_true"].tolist() == [600.0, 900.0]
+        assert records["y_pred"].tolist() == [630.0, 1200.0]
 
     def test_invalid_record_reports_line(self, tmp_path):
         path = write(tmp_path, "preds.csv", "y_true,y_pred\n600,630\n900,nan\n")
@@ -83,7 +92,9 @@ class TestReadExperimentPoints:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "points.csv", "q,performance\n10,0.51\n100,0.53\n")
         points = read_experiment_points(path)
-        assert [(p.q, p.alpha) for p in points] == [(10.0, 0.51), (100.0, 0.53)]
+        assert points.dtype.names == POINT_HEADER
+        assert points["q"].tolist() == [10.0, 100.0]
+        assert points["performance"].tolist() == [0.51, 0.53]
 
     def test_out_of_range_performance_reports_line(self, tmp_path):
         path = write(tmp_path, "points.csv", "q,performance\n10,1.51\n")
@@ -141,6 +152,161 @@ def test_non_utf8_file_is_named(tmp_path, reader, text):
     message = str(excinfo.value)
     assert message.startswith(f"{path}: ")
     assert "can't decode byte 0xff" in message
+
+
+# The column pass only decides whether a file is valid; the row-by-row reader
+# words every error.  These tests hold the two to one decision per file.
+# per reader: its header, and the record attribute behind each table field
+READERS = {
+    read_bids: (BID_HEADER, ("customer_id", "bid")),
+    read_predictions: (PREDICTION_HEADER, ("y_true", "y_pred")),
+    read_experiment_points: (POINT_HEADER, ("q", "alpha")),
+}
+HUGE = b"9" * 131073
+
+
+def read(reader, path):
+    """reader(path): (table, None), or (None, message) if it refuses the file."""
+    try:
+        return reader(path), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def read_rows(reader, path):
+    """What the row-by-row reader alone makes of path: (records, None) or
+    (None, message)."""
+    records = []
+    row_reader = csvio._read_records
+
+    def keep(*args):
+        records.extend(row_reader(*args))
+        return records
+
+    def refuse(*args):
+        raise ValueError("column pass skipped")
+
+    with mock.patch.object(csvio, "_parse_columns", refuse), \
+            mock.patch.object(csvio, "_read_records", keep):
+        try:
+            reader(path)
+        except ValueError as exc:
+            return None, str(exc)
+        except RuntimeError:  # the row reader accepted the file
+            return records, None
+    raise AssertionError("the column pass was not skipped")
+
+
+def assert_same_decision(reader, path):
+    table, message = read(reader, path)
+    records, row_message = read_rows(reader, path)
+    assert (table is None) == (records is None), (message, row_message)
+    assert message == row_message
+    if table is not None:
+        header, attributes = READERS[reader]
+        assert table.dtype.names == header
+        assert len(table) == len(records)
+        for field, attribute in zip(header, attributes):
+            column = [getattr(record, attribute) for record in records]
+            if table[field].dtype == object:
+                assert table[field].tolist() == column
+            else:
+                assert list(map(float.hex, table[field].tolist())) == list(
+                    map(float.hex, column))
+
+
+# cells every column takes, one a quoted field spanning lines, and cells that
+# some column or every column refuses (id0 repeats the first bid id)
+GOOD = tuple(cell.encode() for cell in
+             ("0.5", "1", " 0.25 ", "0_0.75", "1e-300", '"0.5\n"'))
+BAD = tuple(cell.encode() for cell in
+            ("0", "-0", "-1", "1_0", "1e308", "1e999", "inf", "-inf", "nan", "", "x",
+             "id0", '"a\nb"', '"1,5"'))
+# rows a fault inserts: a blank line, a row cut short or too long, a bad UTF-8
+# byte and a field over the csv module's size limit
+ROWS = {"blank": [], "short": [b"1"], "long": [b"1"] * 3, "utf8": [b"1", b"\xff"],
+        "huge": [b"1", HUGE]}
+
+
+@st.composite
+def csv_files(draw):
+    """A reader and the bytes of a valid file for it, with up to two faults:
+    a cell replaced by one from BAD, an inserted row from ROWS, or a wrong
+    header."""
+    reader = draw(st.sampled_from(list(READERS)))
+    header = ",".join(READERS[reader][0]).encode()
+    good = st.sampled_from(GOOD)
+    rows = [[b"id%d" % i if reader is read_bids else draw(good), draw(good)]
+            for i in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(("cell",) * 3 + tuple(ROWS) + ("header",)))
+        i = draw(st.integers(0, len(rows)))
+        if fault == "header":
+            header = b"y," + header
+        elif fault == "cell" and i < len(rows) and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(BAD))
+        else:
+            rows.insert(i, list(ROWS.get(fault, [b"1", draw(st.sampled_from(BAD))])))
+    return reader, b"\n".join([header, *map(b",".join, rows)]) + b"\n"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(file=(read_bids, b"customer_id,bid\nid0,0.5\n\nid1,1_0\n"), chunk=1)
+@example(file=(read_experiment_points, b'q,performance\n"1\n",0.5\n 2 ,1\n'), chunk=2)
+@example(file=(read_predictions, b"y_true,y_pred\n1e308,-1e308\ninf,1\nx,1\n"), chunk=1)
+@example(file=(read_bids, b"customer_id,bid\na,x\n\xff\n"), chunk=1)
+@given(file=csv_files(), chunk=st.sampled_from([1, 2, 3, 1024]))
+def test_column_pass_decides_as_the_row_reader(tmp_path, file, chunk):
+    reader, data = file
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    with mock.patch.object(csvio, "_CHUNK_ROWS", chunk):
+        assert_same_decision(reader, path)
+
+
+# each column check at its bound: a file with one value on or just past it
+@pytest.mark.parametrize("reader, text", [
+    (read_bids, "customer_id,bid\na,0\nb,-0\nc,1e308\n"),
+    (read_bids, "customer_id,bid\na,-1e-300\n"),
+    (read_bids, "customer_id,bid\na,inf\n"),
+    (read_bids, "customer_id,bid\na,nan\n"),
+    (read_bids, "customer_id,bid\na,1\nb,1\na,1\n"),
+    (read_bids, "customer_id,bid\na,1\n a,1\n"),
+    (read_predictions, "y_true,y_pred\n-1e308,1e308\n"),
+    (read_predictions, "y_true,y_pred\nnan,1\n"),
+    (read_predictions, "y_true,y_pred\n1,-inf\n"),
+    (read_experiment_points, "q,performance\n1e-300,0\n1e308,1\n"),
+    (read_experiment_points, "q,performance\n0,0.5\n"),
+    (read_experiment_points, "q,performance\n-0,0.5\n"),
+    (read_experiment_points, "q,performance\ninf,0.5\n"),
+    (read_experiment_points, "q,performance\n1,-0.001\n"),
+    (read_experiment_points, "q,performance\n1,1.001\n"),
+    (read_experiment_points, "q,performance\n1,nan\n"),
+])
+def test_column_checks_meet_the_row_checks_at_their_bounds(tmp_path, reader, text):
+    path = tmp_path / "bound.csv"
+    path.write_text(text, encoding="utf-8")
+    assert_same_decision(reader, path)
+
+
+# a bad number on line 2, then 20 000 good rows, so the second fault lies
+# beyond what the UTF-8 decoder reads ahead of line 2
+@pytest.mark.parametrize("second", [HUGE + b",1", b"\xff"], ids=("huge", "utf8"))
+@pytest.mark.parametrize("reader, rows", [
+    (read_bids, (b"a,lots", b"c%d,0.5")),
+    (read_predictions, (b"1,lots", b"%d,1")),
+    (read_experiment_points, (b"1,lots", b"%d,0.5")),
+], ids=("bids", "predictions", "points"))
+def test_first_of_two_faults_is_reported(tmp_path, reader, rows, second):
+    bad, good = rows
+    header = ",".join(READERS[reader][0]).encode()
+    path = tmp_path / "two.csv"
+    path.write_bytes(b"\n".join([header, bad, *(good % (i + 1) for i in range(20000)),
+                                 second]) + b"\n")
+    with pytest.raises(ValueError, match=rf"two\.csv:2: field \w+ must be a number"):
+        reader(path)
+    assert_same_decision(reader, path)
 
 
 class TestWriteSweep:
