@@ -24,7 +24,7 @@ from .fitting import hit_rate, least_squares_fit
 from .market import data_cost
 from .optimize import optimal_data_size
 from .scenario import load_scenario
-from .simulate import SWEEP_PARAMETERS, simulate, sweep
+from .simulate import SWEEP_PARAMETERS, check_draws, simulate, sweep
 
 __all__ = ["cli_main", "main", "build_parser"]
 
@@ -94,8 +94,17 @@ def _cmd_optimize(args):
             "rejected": report.rejected}, None
 
 
+def _check_draws(args, config, rows=1):
+    """check_draws, naming M, trials and rows where the command line sets them."""
+    trials = ("--trials" if args.trials is not None
+              else f"{args.config}: scenario field trials")
+    check_draws(config.M, config.trials, rows,
+                (f"{args.config}: scenario field M", trials, "--steps"))
+
+
 def _cmd_simulate(args):
     config = _with_overrides(load_scenario(args.config), args)
+    _check_draws(args, config)
     with _naming(args.config):
         report = simulate(config)
     return {field.name: getattr(report, field.name) for field in fields(report)
@@ -104,6 +113,7 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     config = _with_overrides(load_scenario(args.config), args)
+    _check_draws(args, config, args.steps)
     rows = sweep(config, args.param, args.lo, args.hi, args.steps)
     return None, lambda out: csvio.write_sweep_csv(rows, out)
 

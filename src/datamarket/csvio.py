@@ -4,7 +4,11 @@ All files are UTF-8 with a mandatory header row and `.` as decimal separator.
 A reader returns a numpy structured array with one field per header name and
 one element per data row, after checking whole columns; a file that fails a
 check is read again row by row to name the first faulty line.
-Emitted values use a fixed 6-significant-digit format so outputs diff cleanly.
+
+Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
+line ends), but _CHUNK_ROWS rows at a time through one %-template per table,
+with one write per chunk.  Every emitted float has the one number format,
+_FLOAT_SPEC: 6 significant digits, so outputs diff cleanly.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import fields
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
@@ -43,13 +47,18 @@ POINT_HEADER = ("q", "performance")
 SWEEP_HEADER = tuple(field.name for field in fields(SweepResultRow))
 # where a writer's output goes: a path, or an open text stream
 Destination = IO[str] | str | Path
-# rows a reader converts at a time: bounds the rows held as Python lists
+# rows a reader converts, or a writer renders, at a time: bounds the rows held
+# as Python lists and strings
 _CHUNK_ROWS = 1024
+# the one number format of every emitted float: 6 significant digits
+_FLOAT_SPEC = ".6g"
+# characters that make csv.writer (QUOTE_MINIMAL, "\r\n" line ends) quote a cell
+_SPECIAL = (",", '"', "\r", "\n")
 
 
 def format_sig(x: float) -> str:
     """Fixed 6-significant-digit rendering used in all emitted tables."""
-    return f"{x:.6g}"
+    return format(x, _FLOAT_SPEC)
 
 
 @contextmanager
@@ -205,17 +214,48 @@ def read_experiment_points(path) -> np.ndarray:
     return _read_table(path, POINT_HEADER, (float, float), valid, point)
 
 
+def _cells(column, start: int, stop: int) -> list:
+    """Rows start:stop of column as Python objects: they format faster than numpy's."""
+    part = column[start:stop]
+    return part.tolist() if isinstance(part, np.ndarray) else part
+
+
+def _quoted(cells, lone: bool):
+    """cells, with each one that csv.writer would quote quoted as it does.
+
+    A cell holding a _SPECIAL character is wrapped in '"' with each '"'
+    doubled; so is an empty cell that is its row's lone field.
+    """
+    joined = "".join(cells)
+    if not any(char in joined for char in _SPECIAL) and not (lone and "" in cells):
+        return cells
+    return ['"%s"' % cell.replace('"', '""')
+            if any(char in cell for char in _SPECIAL) or (lone and not cell) else cell
+            for cell in cells]
+
+
 def write_table(header: Sequence[str], columns: Sequence, out: Destination) -> None:
-    """Write a CSV table of equal-length columns to a path or an open text stream."""
-    # Python scalars format faster than numpy's; a column of floats has a float first
-    columns = [column.tolist() if isinstance(column, np.ndarray) else column
-               for column in columns]
-    cells = [map(format_sig, column) if len(column) and isinstance(column[0], float)
-             else column for column in columns]
+    """Write a CSV table of equal-length columns to a path or an open text stream.
+
+    The bytes are csv.writer's (QUOTE_MINIMAL, "\r\n" line ends) with every
+    float cell in the format_sig format.  A column's kind is its first cell's:
+    a float column is formatted, a str column quoted where csv.writer would
+    quote, and any other kind (int, bool) written with str.  Rows are rendered
+    _CHUNK_ROWS at a time through one %-template per table and written with
+    one write per chunk, so only one chunk is ever held as strings.
+    """
+    rows = len(columns[0]) if len(columns) else 0
+    kinds = [type(_cells(column, 0, 1)[0]) for column in columns] if rows else []
+    row = ",".join(f"%{_FLOAT_SPEC}" if issubclass(kind, float) else "%s"
+                   for kind in kinds) + "\r\n"
+    lone = len(columns) == 1
     with _opened(out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        csv.writer(fh).writerow(header)
+        for start in range(0, rows, _CHUNK_ROWS):
+            cells = [_cells(column, start, start + _CHUNK_ROWS) for column in columns]
+            cells = [_quoted(part, lone) if issubclass(kind, str) else part
+                     for kind, part in zip(kinds, cells)]
+            fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def write_sweep_csv(rows: Iterable, out: Destination) -> None:

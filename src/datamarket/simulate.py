@@ -20,9 +20,16 @@ from .market import ValuationModel, data_cost, sample_valuations, valuation_cdf
 from .optimize import expected_profit, grid, optimal_data_size
 from .scenario import ScenarioConfig
 
-__all__ = ["SimulationReport", "SweepResultRow", "SWEEP_PARAMETERS", "simulate", "sweep"]
+__all__ = ["SimulationReport", "SweepResultRow", "SWEEP_PARAMETERS", "MAX_DRAWS",
+           "check_draws", "simulate", "sweep"]
 
 SWEEP_PARAMETERS = ("price", "q", "k", "gamma")
+# The most valuations one run may draw: M per trial, times trials per row,
+# times rows.  10**8 draws take about half a second.  It also bounds one
+# trial's arrays, as nothing else does: at M = 10**8 a trial holds two float64
+# arrays and a bool array of M elements, about 1.7 GB.  The largest benchmark
+# command, a sweep of 100 rows of 100 trials of M = 10**4, draws exactly 10**8.
+MAX_DRAWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,23 @@ def _monte_carlo(params, curve, q, price, first_seed, trials):
     return profits, mean, std
 
 
+def check_draws(M, trials, rows=1, names=("scenario field M", "scenario field trials",
+                                        "steps")) -> None:
+    """Refuse a run of more than MAX_DRAWS valuation draws, before it draws any.
+
+    The error names the first of M, trials and rows (their names in names)
+    that takes the product of it and those before it over the bound.
+    """
+    draws = 1
+    for name, factor in zip(names, (M, trials, rows)):
+        draws *= factor
+        if draws > MAX_DRAWS:
+            raise ValueError(
+                f"{name}: M x trials x rows = {M} x {trials} x {rows} = "
+                f"{M * trials * rows} valuation draws, over the limit of {MAX_DRAWS}"
+            )
+
+
 def simulate(config: ScenarioConfig) -> SimulationReport:
     """Replay the optimal posted-price sale and compare profit with its expectation.
 
@@ -89,6 +113,7 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
     """
     if config.q is None:
         raise ValueError("scenario field q: required for simulation")
+    check_draws(config.M, config.trials)
     params, curve, q = config.market, config.curve, config.q
     price = optimal_price(curve, q, params.gamma)
     analytic = expected_profit(q, params, curve)
@@ -130,6 +155,7 @@ def sweep(
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
+    check_draws(config.M, config.trials, steps)
     values = grid(lo, hi, steps).tolist()
     params, curve, q = config.market, config.curve, config.q
     if parameter == "price":

@@ -65,6 +65,9 @@ class TestInverseVirtual:
     def test_top_round_trip(self):
         assert inverse_virtual(0.9, self.model) == 0.9
 
+    def test_bottom_round_trip(self):
+        assert inverse_virtual(-0.9, self.model) == 0.0
+
     def test_round_trip_identity(self):
         rng = np.random.default_rng(9)
         for y in rng.uniform(-0.9, 0.9, size=200):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import io
@@ -369,6 +370,37 @@ class TestExitCodes:
         named = "" if argv[0] == "sweep" else f"{config}: "
         assert f"error: {named}Monte-Carlo profit overflows" in captured.err
 
+    @pytest.mark.parametrize("argv, scenario, field", [
+        (["sweep", "--param", "q", "--lo", "1", "--hi", "100",
+          "--steps", "1000000000000000"], {}, "--steps"),
+        (["simulate", "--trials", "1000000000000000"], {}, "--trials"),
+        (["simulate"], {"trials": "1000000000000000"}, "scenario field trials"),
+        (["simulate"], {"M": "1000000000000000"}, "scenario field M"),
+        (["sweep", "--param", "k", "--lo", "1", "--hi", "2", "--steps", "3"],
+         {"M": "1000000000000000"}, "scenario field M"),
+    ], ids=("steps", "trials-flag", "trials", "M-simulate", "M-sweep"))
+    def test_draws_over_the_bound_name_their_field(self, tmp_path, argv, scenario,
+                                                   field, capsys):
+        # 7 PiB of valuations: refused before any array is allocated
+        config = tmp_path / "big.cfg"
+        text = taxi_scenario_path().read_text(encoding="utf-8")
+        for key, value in scenario.items():
+            text = text.replace(f"\n{key} = ", f"\n{key} = {value}  # ")
+        config.write_text(text, encoding="utf-8")
+        assert cli_main([*argv, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = f"{config}: " if field.startswith("scenario") else ""
+        assert captured.err.startswith(f"error: {named}{field}: M x trials x rows = ")
+        assert captured.err.endswith(" valuation draws, over the limit of 100000000\n")
+
+    def test_closed_form_takes_any_market_size(self, tmp_path, capsys):
+        config = tmp_path / "big.cfg"
+        config.write_text(taxi_scenario_path().read_text(encoding="utf-8")
+                          .replace("M = 10000", "M = 1000000000000000"), encoding="utf-8")
+        assert cli_main(["optimize", "--config", str(config)]) == 0
+        assert "rejected = false" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["optimize", "simulate"])
     def test_performance_overflow_names_file_and_field(self, tmp_path, command,
                                                        capsys):
@@ -585,12 +617,22 @@ def test_golden_csv_commands_are_byte_identical(name, tmp_path):
 # 2000-row files written with repr floats: SHA-256 of stdout, stderr and the
 # --out file of each command, recorded before cli_main reported warnings
 # itself.  The bids run up to 1.25 times the taxi support s at q = 50, and 1%
-# of them equal the price s/2 exactly.
+# of them equal the price s/2 exactly.  The auction-quoted runs, recorded
+# while csv.writer still wrote the tables, read QUOTED_ROWS bids whose ids need
+# quoting in the first two 1024-row blocks but not the third, with a -0.0 bid
+# and ties at s/2; one writes its table to --out, the other to stdout.
 LARGE_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "cli_golden_large.json").read_text(encoding="utf-8")
 )
 LARGE_ROWS = 2000
+QUOTED_ROWS = 2500
+QUOTED_IDS = {0: "a,b", 5: 'say "hi"', 6: '"', 1023: "line\r\nbreak", 1024: "",
+              1025: "lf\nonly", 1026: "cr\ronly", 1500: "na\u00efve \u9867\u5ba2",
+              1501: " pad ", 1502: "\ttab", 2047: ",", 2048: "plain"}
 LARGE_ARGS = {"auction": ["auction", "--bids", "bids.csv", "--config", "taxi"],
+              "auction-quoted": ["auction", "--bids", "quoted.csv", "--config", "taxi"],
+              "auction-quoted-stdout": ["auction", "--bids", "quoted.csv",
+                                        "--config", "taxi"],
               "fit": ["fit", "--points", "points.csv"],
               "metric": ["metric", "--predictions", "preds.csv", "--tau", "180"]}
 for seed in SEEDS:
@@ -625,6 +667,15 @@ def write_large_inputs(directory):
     }
     for name, lines in files.items():
         (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    quoted = rng.uniform(0.0, 1.25 * support, QUOTED_ROWS)
+    quoted[rng.choice(QUOTED_ROWS, QUOTED_ROWS // 100, replace=False)] = support / 2.0
+    quoted[[1, 1024]] = support / 2.0
+    quoted[7] = -0.0
+    with open(directory / "quoted.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["customer_id", "bid"])
+        writer.writerows((QUOTED_IDS.get(i, f"c{i}"), repr(v))
+                         for i, v in enumerate(quoted.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -640,14 +691,16 @@ def large_digests(name, directory):
     argv = [inputs.get(arg, str(directory / arg) if arg.endswith(".csv") else arg)
             for arg in LARGE_ARGS[name]]
     out = directory / f"{name}.out"
+    to_stdout = name.endswith("-stdout")
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = cli_main(argv + ["--out", str(out)])
+        code = cli_main(argv if to_stdout else argv + ["--out", str(out)])
     assert code == 0, stderr.getvalue()
-    return {stream: hashlib.sha256(data).hexdigest() for stream, data in (
+    return {stream: None if data is None else hashlib.sha256(data).hexdigest()
+            for stream, data in (
         ("stdout", stdout.getvalue().encode("utf-8")),
         ("stderr", stderr.getvalue().encode("utf-8")),
-        ("out", out.read_bytes()),
+        ("out", None if to_stdout else out.read_bytes()),
     )}
 
 

@@ -1,4 +1,6 @@
+import csv
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -359,3 +361,114 @@ class TestWriteTableAndSummary:
         assert path.read_text(encoding="utf-8") == (
             "profit = 1288.26\nn = 3\nrejected = true\nok = false\n"
         )
+
+
+# write_table against what it replaces: csv.writer (QUOTE_MINIMAL, "\r\n") fed
+# format_sig for every cell of a float column.  Guards against a Python
+# release that changes how csv quotes, and against a chunk boundary that
+# renders a row differently.
+def csv_writer_table(header, columns):
+    cells = [column.tolist() if isinstance(column, np.ndarray) else column
+             for column in columns]
+    cells = [[format_sig(x) for x in column] if len(column)
+             and isinstance(column[0], float) else column for column in cells]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(*cells))
+    return buf.getvalue()
+
+
+def written(header, columns, tmp_path, to_path):
+    """What write_table writes, to a file at a path or to a StringIO."""
+    if not to_path:
+        buf = io.StringIO()
+        write_table(header, columns, buf)
+        return buf.getvalue()
+    path = tmp_path / "table.csv"
+    write_table(header, columns, path)
+    return path.read_bytes().decode("utf-8")
+
+
+ODD_IDS = ("", ",", '"', 'a,"b"', "\r", "\n", "\r\n", "x\r\ny", " pad", "pad ", "\tt",
+           "naïve 顧客", "\U0001f600", "%s", "%%")
+ODD_FLOATS = (-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+              1e308, -1e308, 1e16, 123456.5, 0.1)
+SIZES = (0, 1, csvio._CHUNK_ROWS, csvio._CHUNK_ROWS + 1)
+
+
+def column_as(kind, cells):
+    """cells as write_table's callers pass them: a numpy array, a list or a tuple."""
+    if kind == "array":
+        return np.array(cells, dtype=object if cells and isinstance(cells[0], str)
+                        else float)
+    return list(cells) if kind == "list" else tuple(cells)
+
+
+@st.composite
+def tables(draw):
+    """A header and 1-5 equal-length columns of ids, floats or ints, each a
+    numpy array, list or tuple, with odd ids and floats anywhere in them."""
+    rows = draw(st.sampled_from(SIZES + (2, 3)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(("text", "float", "int8", "int")),
+                              min_size=1, max_size=5)):
+        if kind == "int8":
+            values = draw(st.lists(st.integers(-128, 127), min_size=1, max_size=4))
+            columns.append(np.array([values[i % len(values)] for i in range(rows)],
+                                    dtype=np.int8))
+            continue
+        if kind == "int":
+            values = draw(st.lists(st.integers(), min_size=1, max_size=4))
+            columns.append([values[i % len(values)] for i in range(rows)])
+            continue
+        if kind == "text":
+            cells = [f"c{i}" for i in range(rows)]
+            odd = st.sampled_from(ODD_IDS) | st.text(max_size=5)
+        else:
+            cells = [float(i) / 7.0 for i in range(rows)]
+            odd = st.sampled_from(ODD_FLOATS) | st.floats()
+        if rows:
+            for i, value in draw(st.dictionaries(st.integers(0, rows - 1), odd,
+                                                 max_size=6)).items():
+                cells[i] = value
+        columns.append(column_as(draw(st.sampled_from(("array", "list", "tuple"))),
+                                 cells))
+    header = tuple(f"h{i}" for i in range(len(columns)))
+    return header, columns
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(table=tables(), to_path=st.booleans())
+def test_write_table_matches_csv_writer(tmp_path, table, to_path):
+    header, columns = table
+    assert written(header, columns, tmp_path, to_path) == csv_writer_table(header, columns)
+
+
+@pytest.mark.parametrize("to_path", [False, True], ids=("stream", "path"))
+@pytest.mark.parametrize("rows", SIZES)
+def test_write_table_matches_csv_writer_on_every_odd_cell(tmp_path, rows, to_path):
+    ids = [ODD_IDS[i % len(ODD_IDS)] if i < len(ODD_IDS) or i >= rows - len(ODD_IDS)
+           else f"c{i}" for i in range(rows)]
+    bids = [ODD_FLOATS[i % len(ODD_FLOATS)] for i in range(rows)]
+    header = ("customer_id", "bid", "allocation", "payment")
+    columns = (np.array(ids, dtype=object), np.array(bids),
+               (np.arange(rows) % 2).astype(np.int8), [bid * 2 for bid in bids])
+    assert written(header, columns, tmp_path, to_path) == csv_writer_table(header, columns)
+    # a lone column quotes an empty id, as csv.writer does
+    assert (written(("id",), (ids,), tmp_path, to_path)
+            == csv_writer_table(("id",), (ids,)))
+
+
+def test_sweep_rows_match_csv_writer():
+    rows = [SweepResultRow(float(i), -0.0, math.inf, 5e-324, math.nan, 1e308)
+            for i in range(csvio._CHUNK_ROWS + 1)]
+    buf = io.StringIO()
+    write_sweep_csv(rows, buf)
+    columns = list(zip(*([getattr(row, name) for name in SWEEP_HEADER] for row in rows)))
+    assert buf.getvalue() == csv_writer_table(SWEEP_HEADER, columns)
+    buf = io.StringIO()
+    write_sweep_csv([], buf)
+    assert buf.getvalue() == ",".join(SWEEP_HEADER) + "\r\n"

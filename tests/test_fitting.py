@@ -35,6 +35,8 @@ class TestTypes:
             ExperimentPoint(q=1.0, alpha=1.1)
         with pytest.raises(ValueError):
             ExperimentPoint(q=1.0, alpha=-0.1)
+        for alpha in (0.0, 1.0):  # both ends of [0, 1] are performances
+            assert ExperimentPoint(q=1.0, alpha=alpha).alpha == alpha
 
 
 class TestSatisfactionRate:
@@ -171,6 +173,12 @@ class TestFitUtility:
         with pytest.warns(UserWarning, match="not positive"):
             report = fit_utility(points)
         assert report.curve.b < 0
+
+    def test_flat_slope_flagged(self):
+        points = [ExperimentPoint(q=q, alpha=0.5) for q in (1.0, 10.0, 100.0)]
+        with pytest.warns(UserWarning, match="not positive"):
+            report = fit_utility(points)
+        assert report.curve.b == 0.0
 
 
 class TestEvaluateFit:

@@ -22,6 +22,8 @@ from datamarket.csvio import read_bids, read_experiment_points, read_predictions
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 HOSTILE = ("nan", "inf", "-1", "0", "1e308", "2.5", "abc")
+# a count whose draws, M x trials x rows, pass any bound: 7 PiB of valuations
+HUGE_COUNT = "1000000000000000"
 SCENARIO = {"M": "50", "k": "0.5", "gamma": "1", "N": "100", "a": "0.4944",
             "b": "0.0079", "q": "50", "tau": "180", "seed": "3", "trials": "3"}
 
@@ -99,8 +101,8 @@ def mutated(draw, valid, choices, max_size):
 @st.composite
 def scenario_texts(draw):
     """A valid scenario with up to two values changed or dropped, plus maybe an
-    unknown, repeated or malformed line; no value of M or trials is large."""
-    values = mutated(draw, SCENARIO, (None, "1", "0.1") + HOSTILE, 2)
+    unknown, repeated or malformed line."""
+    values = mutated(draw, SCENARIO, (None, "1", "0.1", HUGE_COUNT) + HOSTILE, 2)
     lines = [f"{key} = {value}" for key, value in values.items()]
     extras = st.one_of(
         st.builds("{} = {}".format, st.sampled_from([*SCENARIO, "foo"]),
@@ -118,6 +120,7 @@ WARNS = "".join(f"{key} = {value}\n" for key, value in {**SCENARIO, "a": "-1"}.i
 @FUZZ
 @example(text=WARNS, command=["optimize"])
 @example(text=WARNS.replace("q = 50\n", ""), command=["simulate"])
+@example(text=WARNS.replace("M = 50\n", f"M = {HUGE_COUNT}\n"), command=["simulate"])
 @example(text="".join(f"{key} = {value}\n" for key, value in {**SCENARIO, "k": "1e308"}.items()),
          command=["auction", "--bids", "bids.csv"])
 @given(text=scenario_texts(),
@@ -180,7 +183,7 @@ COMMANDS = {
               "--steps": "3", "--seed": "7", "--trials": "2"},
 }
 FILES = ("small.cfg", "bids.csv", "points.csv", "preds.csv", "missing.cfg", ".", "out.txt")
-ARGS = (None, "1", "3", "k", "gamma", "price", "M") + HOSTILE + FILES
+ARGS = (None, "1", "3", "k", "gamma", "price", "M", HUGE_COUNT) + HOSTILE + FILES
 
 
 @st.composite
@@ -194,6 +197,9 @@ def argvs(draw):
 
 
 @FUZZ
+@example(argv=["sweep", *(part for pair in {**COMMANDS["sweep"], "--steps": HUGE_COUNT}
+                          .items() for part in pair)])
+@example(argv=["simulate", "--config", "small.cfg", "--trials", HUGE_COUNT])
 @given(argv=argvs())
 def test_command_lines(workdir, argv):
     run([workdir / arg if arg in FILES else arg for arg in argv])

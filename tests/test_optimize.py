@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,15 @@ class TestExpectedProfit:
         with pytest.raises(ValueError):
             expected_profit(10.0, TAXI_PARAMS, UtilityCurve(a=0.5, b=-0.01))
 
+    def test_all_data_is_bought_and_not_a_float_more(self):
+        n = TAXI_PARAMS.N
+        assert expected_profit(n, TAXI_PARAMS, TAXI_CURVE) == pytest.approx(
+            TAXI_PARAMS.M * (0.4944 + 0.0079 * math.log(n)) / 4.0 - 0.5 * n, rel=1e-12)
+        assert expected_profit(np.array([0.0, n]), TAXI_PARAMS, TAXI_CURVE)[1] > 0.0
+        for q in (math.nextafter(n, math.inf), np.array([n, math.nextafter(n, math.inf)])):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 100.0\]"):
+                expected_profit(q, TAXI_PARAMS, TAXI_CURVE)
+
     def test_overflow_rejected(self):
         # M * gamma = 1e309 is inf in floating point; so is the profit
         huge = MarketParams(M=10000, k=0.5, gamma=1e305, N=100.0)
@@ -114,6 +125,19 @@ class TestOptimalDataSize:
         assert expected_profit(0.025, params, curve) == pytest.approx(
             -0.114721986352848, rel=1e-9
         )
+
+    def test_exactly_zero_profit_is_rejected(self):
+        # q+ = M*gamma*b/(4k) = 1 = N, and M*gamma*r(1)/4 = 1 = k*N: profit is
+        # exactly 0; a unit cost one float lower makes it positive
+        curve = UtilityCurve(a=1.0, b=1.0)
+        for k, profitable in ((math.nextafter(1.0, 2.0), False), (1.0, False),
+                              (math.nextafter(1.0, 0.0), True)):
+            params = MarketParams(M=4, k=k, gamma=1.0, N=1.0)
+            profit = expected_profit(1.0, params, curve)
+            assert (profit > 0.0) == profitable and (profit == 0.0) == (k == 1.0)
+            report = optimal_data_size(params, curve)
+            assert report.rejected != profitable
+            assert report.q_star == (1.0 if profitable else 0.0)
 
     def test_rejection_confirmed_by_grid_search(self):
         params = MarketParams(M=10, k=1.0, gamma=1.0, N=100.0)
@@ -260,6 +284,9 @@ class TestGridArgmax:
         with pytest.raises(ZeroDivisionError, match="objective bug"):
             grid_argmax(broken, 0.0, 1.0, 10)
         assert len(calls) == 1
+
+    def test_two_points_are_a_grid(self):
+        assert grid_argmax(lambda x: -x, 0.0, 1.0, 2) == (0.0, -0.0)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import pytest
 
 from datamarket import (
@@ -102,6 +105,22 @@ class TestValidation:
     def test_warns_when_performance_negative_at_unit_size(self):
         with pytest.warns(UserWarning, match="negative"):
             ScenarioConfig(**self.base(a=-0.05))
+
+    def test_bounds_of_the_run_fields_are_accepted(self):
+        config = ScenarioConfig(**self.base(trials=1, q=100.0))
+        assert (config.trials, config.q) == (1, config.N)
+
+    def test_no_warning_at_the_ends_of_the_unit_interval(self):
+        # performance exactly 1 at N = 1, and exactly 0 at data size 1
+        at_bounds = (self.base(a=1.0, N=1.0, q=1.0), self.base(a=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fields in at_bounds:
+                ScenarioConfig(**fields)
+        for fields, match in zip(at_bounds, ("exceeds 1", "negative")):
+            fields["a"] = math.nextafter(fields["a"], math.inf if fields["a"] else -math.inf)
+            with pytest.warns(UserWarning, match=match):
+                ScenarioConfig(**fields)
 
     def test_model_requires_q(self):
         config = ScenarioConfig(**self.base(q=None))

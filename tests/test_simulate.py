@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from datamarket import (
+    MAX_DRAWS,
     ScenarioConfig,
+    check_draws,
     expected_profit,
     optimal_price,
     simulate,
@@ -54,6 +56,18 @@ class TestSimulate:
             config.q, config.market, config.curve
         )
 
+    def test_flag_is_three_standard_errors_not_four(self):
+        # at seed 1035 the mean lies 3.35 standard errors from the expectation
+        report = simulate(replace(taxi_scenario(), M=100, trials=10, seed=1035))
+        gap = abs(report.empirical_mean - report.analytic_profit)
+        assert 3.0 * report.std_error < gap < 4.0 * report.std_error
+        assert not report.within_three_se
+
+    def test_one_trial_has_no_spread(self):
+        report = simulate(small_config(trials=1))
+        assert report.empirical_std == report.std_error == 0.0
+        assert report.empirical_mean == report.trial_profits[0]
+
     def test_standard_error_scales_with_market_size(self):
         small = simulate(small_config(M=100, trials=50))
         large = simulate(small_config(M=10_000, trials=50))
@@ -75,6 +89,32 @@ class TestSimulate:
             simulate(config)
         with pytest.raises(ValueError, match="Monte-Carlo profit overflows"):
             sweep(config, "gamma", 1.0, 1e303, 3)
+
+
+class TestDrawBound:
+    def test_admits_the_largest_benchmark_sweep(self):
+        # 100 rows of 100 trials of M = 10**4: exactly MAX_DRAWS
+        assert MAX_DRAWS == 10_000 * 100 * 100
+        check_draws(10_000, 100, 100)
+        with pytest.raises(ValueError, match=r"^steps: M x trials x rows = "
+                                             r"10000 x 100 x 101 = 101000000 "):
+            check_draws(10_000, 100, 101)
+
+    def test_names_the_first_factor_over_the_bound(self):
+        for sizes, name in (((10**9, 1, 1), "M"), ((10**4, 10**5, 1), "trials"),
+                            ((10**4, 10, 10**4), "steps")):
+            with pytest.raises(ValueError, match=f"^{name}: "):
+                check_draws(*sizes, names=("M", "trials", "steps"))
+
+    def test_checked_before_anything_is_drawn(self):
+        # 7 PiB of valuations: a MemoryError if sampling were reached
+        huge = taxi_scenario()
+        for config, name in ((replace(huge, M=10**15), "scenario field M"),
+                             (replace(huge, trials=10**15), "scenario field trials")):
+            with pytest.raises(ValueError, match=f"^{name}: "):
+                simulate(config)
+        with pytest.raises(ValueError, match="^steps: "):
+            sweep(huge, "q", 1.0, 100.0, 10**15)
 
 
 class TestSweepValidation:

@@ -1,0 +1,144 @@
+"""Comparison-flip mutation testing of src/datamarket, with the standard library only.
+
+Every comparison operator in src/datamarket/*.py is flipped in turn
+(`<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`), one mutant at a time, in a
+temporary copy of the repository.  Each mutant runs the test files mapped to
+its module with `pytest -x`; a mutant whose tests all pass survives.  The
+survivors and the score (killed / total) are printed.
+
+Usage, from the root of a checkout:
+
+    python3 tools/mutants.py                  # every module
+    python3 tools/mutants.py optimize market  # only these modules
+
+It is slow (one pytest run per mutant) and not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from bisect import bisect_right
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "datamarket"
+FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
+         ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
+# the test files run against a mutant of each module: its own, and those
+# that drive it from another layer
+TESTS = {
+    "__init__": ["test_package.py"],
+    "auction": ["test_auction.py", "test_acceptance.py"],
+    "cli": ["test_cli.py", "test_fuzz.py"],
+    "csvio": ["test_csvio.py", "test_cli.py", "test_fuzz.py"],
+    "fitting": ["test_fitting.py", "test_acceptance.py"],
+    "market": ["test_market.py", "test_auction.py", "test_acceptance.py"],
+    "optimize": ["test_optimize.py", "test_acceptance.py"],
+    "scenario": ["test_scenario.py", "test_cli.py"],
+    "simulate": ["test_simulate.py", "test_acceptance.py"],
+}
+TIMEOUT_S = 600
+
+
+def mutants(path: Path) -> list[tuple[str, int, int, str]]:
+    """(place, byte start, byte end, new) of each operator flip in path, in file order.
+
+    place is `line:column: old -> new`.
+
+    An operator lies between the operands around it; its place is found in
+    the source bytes between them, past any brackets and comments.
+    """
+    source = path.read_bytes()
+    lines = source.splitlines(keepends=True)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+
+    def offset(lineno: int, col: int) -> int:  # ast columns count UTF-8 bytes
+        return starts[lineno - 1] + col
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if type(op) not in FLIPS:
+                continue
+            old, new = FLIPS[type(op)]
+            lo = offset(left.end_lineno, left.end_col_offset)
+            hi = offset(right.lineno, right.col_offset)
+            gap = source[lo:hi].decode("utf-8")
+            at = lo + len(gap[:gap.index(old)].encode("utf-8"))
+            line = bisect_right(starts, at)
+            found.append((f"{line}:{at - starts[line - 1] + 1}: {old} -> {new}",
+                          at, at + len(old), new))
+    return sorted(found, key=lambda mutant: mutant[1])
+
+
+def run_tests(copy: Path, tests: list[str]) -> bool:
+    """Whether the tests pass in copy (a timeout counts as a failure)."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               *(f"tests/{name}" for name in tests)]
+    # no bytecode caches: a same-size mutant written within the second of the
+    # last one could otherwise run from the stale cache
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        proc = subprocess.run(command, cwd=copy, env=env, capture_output=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
+    return proc.returncode == 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("modules", nargs="*", help="module names (default: all)")
+    args = parser.parse_args()
+    modules = args.modules or sorted(path.stem for path in (ROOT / PACKAGE).glob("*.py"))
+    unknown = sorted(set(modules) - set(TESTS))
+    if unknown:
+        parser.error(f"no tests mapped for {', '.join(unknown)}")
+
+    plan = [(module, *mutant) for module in modules
+            for mutant in mutants(ROOT / PACKAGE / f"{module}.py")]
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", ".perfbench", ".hypothesis", "__pycache__", ".pytest_cache"))
+        for module in modules:
+            if not run_tests(copy, TESTS[module]):
+                print(f"{module}: its tests fail unmutated; fix them first")
+                return 1
+        for i, (module, place, start, end, new) in enumerate(plan, 1):
+            target = copy / PACKAGE / f"{module}.py"
+            original = target.read_bytes()
+            target.write_bytes(original[:start] + new.encode() + original[end:])
+            began = time.perf_counter()
+            survived = run_tests(copy, TESTS[module])
+            target.write_bytes(original)
+            name = f"{PACKAGE / module}.py:{place}"
+            verdict = "SURVIVED" if survived else "killed"
+            print(f"[{i}/{len(plan)}] {verdict} {name} "
+                  f"({time.perf_counter() - began:.1f} s)", flush=True)
+            if survived:
+                survivors.append(name)
+    killed = len(plan) - len(survivors)
+    print(f"\nsurvivors ({len(survivors)}):")
+    for name in survivors:
+        print(f"  {name}")
+    print(f"score: {killed}/{len(plan)} killed"
+          f" ({100.0 * killed / len(plan):.1f}%)" if plan else "score: no mutants")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
