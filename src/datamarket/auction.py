@@ -18,6 +18,7 @@ from .market import (
     CustomerBid,
     UtilityCurve,
     ValuationModel,
+    _unwrap,
     data_cost,
 )
 
@@ -57,7 +58,7 @@ def virtual_valuation(v, model: ValuationModel):
     outside = arr[~((arr >= 0.0) & (arr <= s))]
     if outside.size:
         raise ValueError(f"valuation {outside[0]} outside the support [0, {s}]")
-    return (2.0 * arr - s)[()]
+    return _unwrap(2.0 * arr - s)
 
 
 def inverse_virtual(y: float, model: ValuationModel) -> float:

@@ -14,7 +14,7 @@ import argparse
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -37,12 +37,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract here is 1
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}error: {message}")
-
-
-def _with_overrides(config, args):
-    updates = {name: getattr(args, name) for name in ("seed", "trials")
-               if getattr(args, name, None) is not None}
-    return replace(config, **updates) if updates else config
 
 
 @contextmanager
@@ -94,26 +88,31 @@ def _cmd_optimize(args):
             "rejected": report.rejected}, None
 
 
-def _check_draws(args, config, rows=1):
-    """check_draws, naming M, trials and rows where the command line sets them."""
+def _monte_carlo_config(args, rows=1):
+    """The scenario with the --seed and --trials overrides, its draws checked."""
+    config = load_scenario(args.config)
+    for name in ("seed", "trials"):
+        if getattr(args, name) is not None:
+            try:
+                config = replace(config, **{name: getattr(args, name)})
+            except ValueError as exc:  # name the flag, not the scenario field
+                detail = str(exc).removeprefix(f"scenario field {name}: ")
+                raise ValueError(f"--{name}: {detail}") from None
     trials = ("--trials" if args.trials is not None
               else f"{args.config}: scenario field trials")
     check_draws(config.M, config.trials, rows,
                 (f"{args.config}: scenario field M", trials, "--steps"))
+    return config
 
 
 def _cmd_simulate(args):
-    config = _with_overrides(load_scenario(args.config), args)
-    _check_draws(args, config)
+    config = _monte_carlo_config(args)
     with _naming(args.config):
-        report = simulate(config)
-    return {field.name: getattr(report, field.name) for field in fields(report)
-            if field.name != "trial_profits"}, None
+        return asdict(simulate(config)), None
 
 
 def _cmd_sweep(args):
-    config = _with_overrides(load_scenario(args.config), args)
-    _check_draws(args, config, args.steps)
+    config = _monte_carlo_config(args, args.steps)
     rows = sweep(config, args.param, args.lo, args.hi, args.steps)
     return None, lambda out: csvio.write_sweep_csv(rows, out)
 

@@ -38,8 +38,8 @@ class SimulationReport:
 
     within_three_se is the agreement flag: the empirical mean lies within
     three standard errors of the analytic expectation (meaningful for
-    trials >= 2).  trial_profits keeps the realized profit of every trial,
-    in trial order.
+    trials >= 2).  The report keeps these statistics, not the trials:
+    replay trial t alone with trials=1 and seed + t.
     """
 
     M: int
@@ -52,7 +52,6 @@ class SimulationReport:
     empirical_std: float
     std_error: float
     within_three_se: bool
-    trial_profits: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,11 @@ class SweepResultRow:
 
 
 def _monte_carlo(params, curve, q, price, first_seed, trials):
-    """Profits n_winners*price - k*q of posted-price sales of q data units.
+    """Mean and sample std of the profits n_winners*price - k*q of q-unit sales.
 
     Trial t draws M valuations on [0, gamma*r(q)] with seed first_seed + t;
-    every customer valued at or above the price buys.  Returns the profits,
-    their mean and sample std (0 for one trial); an overflow is a ValueError.
+    every customer valued at or above the price buys.  The std of one trial
+    is 0; an overflow is a ValueError.
     """
     model = ValuationModel.from_market(curve, q, params.gamma)
     cost = data_cost(q, params.k)
@@ -85,7 +84,7 @@ def _monte_carlo(params, curve, q, price, first_seed, trials):
         std = float(profits.std(ddof=1)) if trials > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise ValueError(f"Monte-Carlo profit overflows: mean {mean}, std {std}")
-    return profits, mean, std
+    return mean, std
 
 
 def check_draws(M, trials, rows=1, names=("scenario field M", "scenario field trials",
@@ -117,7 +116,7 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
     params, curve, q = config.market, config.curve, config.q
     price = optimal_price(curve, q, params.gamma)
     analytic = expected_profit(q, params, curve)
-    profits, mean, std = _monte_carlo(params, curve, q, price, config.seed, config.trials)
+    mean, std = _monte_carlo(params, curve, q, price, config.seed, config.trials)
     se = std / math.sqrt(config.trials)
     return SimulationReport(
         M=params.M,
@@ -130,7 +129,6 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
         empirical_std=std,
         std_error=se,
         within_three_se=abs(mean - analytic) <= 3.0 * se,
-        trial_profits=tuple(float(p) for p in profits),
     )
 
 
@@ -194,6 +192,6 @@ def sweep(
             q, price = report.q_star, report.price_at_q_star
             columns = (report.expected_profit_at_q_star, price, q)
         seed = config.seed + r * config.trials
-        _, mean, std = _monte_carlo(market, curve, q, price, seed, config.trials)
+        mean, std = _monte_carlo(market, curve, q, price, seed, config.trials)
         rows.append(SweepResultRow(value, *columns, mean, std))
     return rows

@@ -218,9 +218,20 @@ class TestSimulate:
         assert cli_main(["simulate", "--config", scenario_file]) == 0
         assert capsys.readouterr().out == first
 
-    def test_negative_seed_override_rejected(self, scenario_file, capsys):
-        assert cli_main(["simulate", "--config", scenario_file, "--seed", "-1"]) == 1
-        assert "field seed" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["sweep", "--param", "q", "--lo", "1", "--hi", "100", "--steps", "3"],
+    ], ids=("simulate", "sweep"))
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "must be >= 0, got -1"),
+        ("--trials", "0", "must be >= 1, got 0"),
+    ], ids=("seed", "trials"))
+    def test_bad_override_names_its_flag(self, scenario_file, capsys, command, flag,
+                                         value, message):
+        assert cli_main([*command, "--config", scenario_file, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}: {message}\n"
 
     def test_seed_override_changes_output(self, scenario_file, capsys):
         assert cli_main(["simulate", "--config", scenario_file, "--seed", "99"]) == 0

@@ -17,6 +17,7 @@ from datamarket import (
     expected_profit,
     sample_valuations,
     valuation_cdf,
+    virtual_valuation,
 )
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
@@ -184,6 +185,8 @@ class TestArrayClosedForms:
             assert type(data_utility(q, TAXI_CURVE)) is float
             assert type(data_cost(q, 0.5)) is float
             assert type(expected_profit(q, self.params, TAXI_CURVE)) is float
+            model = ValuationModel(support_max=1.0)
+            assert type(virtual_valuation(q / 100, model)) is float
         assert type(expected_profit(0.0, self.params, TAXI_CURVE)) is float
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])

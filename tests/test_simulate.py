@@ -10,6 +10,7 @@ from datamarket import (
     check_draws,
     expected_profit,
     optimal_price,
+    sample_valuations,
     simulate,
     sweep,
     taxi_scenario,
@@ -43,10 +44,13 @@ class TestSimulate:
         report = simulate(config)
         cost = config.k * config.q
         price = optimal_price(config.curve, config.q, config.gamma)
+        # trial t, replayed alone, is the one-trial run seeded seed + t
+        profits = [simulate(replace(config, trials=1, seed=config.seed + t)).empirical_mean
+                   for t in range(60)]
         # every trial lands on one of exactly two outcomes
-        outcomes = {-cost, price - cost}
-        assert set(report.trial_profits) == outcomes
-        assert len(report.trial_profits) == 60
+        assert set(profits) == {-cost, price - cost}
+        assert np.mean(profits) == report.empirical_mean
+        assert np.std(profits, ddof=1) == report.empirical_std
 
     def test_agrees_with_analytic_expectation(self):
         config = small_config(M=2000, trials=60)
@@ -66,7 +70,6 @@ class TestSimulate:
     def test_one_trial_has_no_spread(self):
         report = simulate(small_config(trials=1))
         assert report.empirical_std == report.std_error == 0.0
-        assert report.empirical_mean == report.trial_profits[0]
 
     def test_standard_error_scales_with_market_size(self):
         small = simulate(small_config(M=100, trials=50))
@@ -173,6 +176,16 @@ class TestSweepResults:
         p_star = optimal_price(config.curve, config.q, config.gamma)
         assert abs(best - p_star) <= model.support_max / (steps - 1)
         assert rows[0].optimal_price == p_star
+
+    def test_customer_valued_exactly_at_the_price_buys(self):
+        # row 0 draws with the config seed and is priced at its lowest valuation
+        config = replace(taxi_scenario(), M=5, trials=1, seed=7)
+        values = sample_valuations(5, config.model(), seed=7)
+        low = float(values.min())
+        row = sweep(config, "price", low, float(values.max()) + 0.01, 2)[0]
+        assert row.value == low
+        assert row.empirical_mean == 5 * low - config.k * config.q
+        assert row.empirical_mean == -24.408487705868133
 
     def test_price_sweep_is_unimodal(self):
         rows = sweep(small_config(trials=2), "price", 0.0, 0.525, 101)
