@@ -24,7 +24,7 @@ from .fitting import hit_rate, least_squares_fit
 from .market import data_cost
 from .optimize import optimal_data_size
 from .scenario import load_scenario
-from .simulate import SWEEP_PARAMETERS, check_draws, simulate, sweep
+from .simulate import SWEEP_PARAMETERS, ScenarioError, check_draws, simulate, sweep
 
 __all__ = ["cli_main", "main", "build_parser"]
 
@@ -40,11 +40,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _naming(path):
-    """Prefix path to a ValueError raised inside: the values read from it caused it."""
+def _naming(path, kind=ValueError):
+    """Prefix path to a ValueError of kind raised inside: the values read from it
+    caused it."""
     try:
         yield
-    except ValueError as exc:
+    except kind as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -113,7 +114,8 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     config = _monte_carlo_config(args, args.steps)
-    rows = sweep(config, args.param, args.lo, args.hi, args.steps)
+    with _naming(args.config, ScenarioError):
+        rows = sweep(config, args.param, args.lo, args.hi, args.steps)
     return None, lambda out: csvio.write_sweep_csv(rows, out)
 
 

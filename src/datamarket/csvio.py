@@ -2,8 +2,9 @@
 
 All files are UTF-8 with a mandatory header row and `.` as decimal separator.
 A reader returns a numpy structured array with one field per header name and
-one element per data row, after checking whole columns; a file that fails a
-check is read again row by row to name the first faulty line.
+one element per data row, parsed in C by one np.loadtxt call, after checking
+whole columns.  A file that call refuses or might take wrongly, or that fails
+a check, is read row by row, to name the first faulty line or to return it.
 
 Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
 line ends), but _CHUNK_ROWS rows at a time through one %-template per table,
@@ -14,9 +15,10 @@ _FLOAT_SPEC: 6 significant digits, so outputs diff cleanly.
 from __future__ import annotations
 
 import csv
+import warnings
 from contextlib import contextmanager
 from dataclasses import fields
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
@@ -47,13 +49,14 @@ POINT_HEADER = ("q", "performance")
 SWEEP_HEADER = tuple(field.name for field in fields(SweepResultRow))
 # where a writer's output goes: a path, or an open text stream
 Destination = IO[str] | str | Path
-# rows a reader converts, or a writer renders, at a time: bounds the rows held
-# as Python lists and strings
+# rows a writer renders at a time: bounds the rows held as Python strings
 _CHUNK_ROWS = 1024
 # the one number format of every emitted float: 6 significant digits
 _FLOAT_SPEC = ".6g"
 # characters that make csv.writer (QUOTE_MINIMAL, "\r\n" line ends) quote a cell
 _SPECIAL = (",", '"', "\r", "\n")
+# bytes np.loadtxt skips as whitespace around a number, and float() refuses
+_LOOSE_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 def format_sig(x: float) -> str:
@@ -71,12 +74,6 @@ def _opened(out: Destination):
         yield out
 
 
-def _read_header(path, reader, header: Sequence[str]) -> None:
-    first = next(reader, None)
-    if first is None or [cell.strip() for cell in first] != list(header):
-        raise ValueError(f"{path}: expected header {','.join(header)!r}")
-
-
 def _read_records(path, header: Sequence[str], record: Callable) -> list:
     """record(line, *fields) of every data row; its ValueError gets path:line.
 
@@ -85,7 +82,9 @@ def _read_records(path, header: Sequence[str], record: Callable) -> list:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            _read_header(path, reader, header)
+            first = next(reader, None)
+            if first is None or [cell.strip() for cell in first] != list(header):
+                raise ValueError(f"{path}: expected header {','.join(header)!r}")
             records = []
             for row in reader:
                 if not row:
@@ -105,48 +104,53 @@ def _read_records(path, header: Sequence[str], record: Callable) -> list:
     return records
 
 
-def _parse_columns(path, header: Sequence[str], kinds: Sequence[type]) -> np.ndarray:
-    """Every data row of path in a structured array with one field per header name.
+def _fits(path, table: np.ndarray) -> bool:
+    """Whether csv.reader and float() take path as np.loadtxt took it into table.
 
-    Rows are converted _CHUNK_ROWS at a time, float fields with float(), so
-    only one chunk is ever held as Python lists.  Any fault is a ValueError or
-    a csv.Error that says nothing of where it is.
+    loadtxt ignores csv.field_size_limit() and skips _LOOSE_SPACE around a
+    number, so neither may occur: no id over the limit, no _LOOSE_SPACE byte,
+    and no run of bytes without a comma over the limit (a number holds no
+    comma, but may hold newlines inside quotes).  path is read a MiB at a time.
     """
-    dtype = np.dtype(list(zip(header, kinds)))
-    parts = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _read_header(path, reader, header)
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            if not all(chunk):  # a blank line is no row
-                chunk = [row for row in chunk if row]
-            if set(map(len, chunk)) - {len(header)}:
-                raise ValueError("a row has the wrong number of fields")
-            part = np.empty(len(chunk), dtype)
-            for name, kind, column in zip(header, kinds, zip(*chunk)):
-                part[name] = (np.fromiter(map(float, column), float, len(column))
-                              if kind is float else column)
-            parts.append(part)
-    return np.concatenate(parts) if parts else np.empty(0, dtype)
+    limit = csv.field_size_limit()
+    ids = (table[name].tolist() for name in table.dtype.names
+           if table[name].dtype == object)
+    if any(max(map(len, column), default=0) > limit for column in ids):
+        return False
+    last = end = -1  # the offsets of the last comma so far and of the last byte
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            commas = end + 1 + np.flatnonzero(np.frombuffer(block, np.uint8) == ord(","))
+            gap = np.diff(commas, prepend=last).max(initial=0)  # one more than a run
+            if gap > limit + 1 or any(map(block.__contains__, _LOOSE_SPACE)):
+                return False
+            last, end = int(commas[-1]) if len(commas) else last, end + len(block)
+    return end - last <= limit
 
 
 def _read_table(path, header: Sequence[str], kinds: Sequence[type],
                 valid: Callable[[np.ndarray], bool], record: Callable) -> np.ndarray:
     """path's data rows as a structured array, once valid(table) holds on them.
 
-    The column pass only decides whether the file is valid.  If it is not,
-    _read_records reads the file again row by row with record, which raises
-    the first fault in file order as path:line, the same message whichever
-    check the column pass failed.
+    One np.loadtxt call parses the file in C.  A file it refuses, whose
+    header is not one unquoted line, or whose table fails valid or _fits, is
+    read by _read_records with record (its objects hold a row's fields in
+    header order): that raises the first fault in file order as path:line,
+    or returns the rows of the table np.loadtxt would have made.
     """
+    dtype = np.dtype(list(zip(header, kinds)))
     try:
-        table = _parse_columns(path, header, kinds)
-        if len(table) and valid(table):
-            return table
-    except (ValueError, csv.Error):  # any fault; UnicodeDecodeError is a ValueError
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the UserWarning of a file with no rows
+            if [cell.strip() for cell in fh.readline().split(",")] == list(header):
+                table = np.loadtxt(fh, dtype, comments=None, delimiter=",",
+                                   quotechar='"', ndmin=1)
+                if len(table) and valid(table) and _fits(path, table):
+                    return table
+    except ValueError:  # any fault; UnicodeDecodeError is a ValueError
         pass
-    _read_records(path, header, record)
-    raise RuntimeError(f"{path}: the row reader accepted a file the column check refused")
+    records = _read_records(path, header, record)
+    return np.array([tuple(vars(row).values()) for row in records], dtype)
 
 
 def _number(name: str, value: str) -> float:
@@ -154,10 +158,6 @@ def _number(name: str, value: str) -> float:
         return float(value)
     except ValueError:
         raise ValueError(f"field {name} must be a number, got {value!r}") from None
-
-
-def _finite(column: np.ndarray) -> bool:
-    return bool(np.isfinite(column).all())
 
 
 def read_bids(path) -> np.ndarray:
@@ -176,7 +176,7 @@ def read_bids(path) -> np.ndarray:
 
     def valid(table):
         ids, bids = table["customer_id"].tolist(), table["bid"]
-        return len(set(ids)) == len(ids) and _finite(bids) and (bids >= 0).all()
+        return len(set(ids)) == len(ids) and np.isfinite(bids).all() and (bids >= 0).all()
 
     return _read_table(path, BID_HEADER, (object, float), valid, bid)
 
@@ -192,7 +192,7 @@ def read_predictions(path) -> np.ndarray:
         return PredictionRecord(_number("y_true", y_true), _number("y_pred", y_pred))
 
     def valid(table):
-        return _finite(table["y_true"]) and _finite(table["y_pred"])
+        return all(np.isfinite(table[name]).all() for name in PREDICTION_HEADER)
 
     return _read_table(path, PREDICTION_HEADER, (float, float), valid, record)
 
@@ -209,7 +209,8 @@ def read_experiment_points(path) -> np.ndarray:
 
     def valid(table):
         q, alpha = table["q"], table["performance"]
-        return _finite(q) and (q > 0).all() and ((alpha >= 0) & (alpha <= 1)).all()
+        finite = np.isfinite(q).all()
+        return finite and (q > 0).all() and ((alpha >= 0) & (alpha <= 1)).all()
 
     return _read_table(path, POINT_HEADER, (float, float), valid, point)
 

@@ -21,7 +21,7 @@ from .optimize import expected_profit, grid, optimal_data_size
 from .scenario import ScenarioConfig
 
 __all__ = ["SimulationReport", "SweepResultRow", "SWEEP_PARAMETERS", "MAX_DRAWS",
-           "check_draws", "simulate", "sweep"]
+           "MAX_TRIALS", "ScenarioError", "check_draws", "simulate", "sweep"]
 
 SWEEP_PARAMETERS = ("price", "q", "k", "gamma")
 # The most valuations one run may draw: M per trial, times trials per row,
@@ -30,6 +30,14 @@ SWEEP_PARAMETERS = ("price", "q", "k", "gamma")
 # arrays and a bool array of M elements, about 1.7 GB.  The largest benchmark
 # command, a sweep of 100 rows of 100 trials of M = 10**4, draws exactly 10**8.
 MAX_DRAWS = 10**8
+# The most trials one run may make: trials per row, times rows.  A trial costs
+# about 31 us whatever M is, so 10**6 trials take about 30 s; the largest
+# benchmark command makes 10**4.
+MAX_TRIALS = 10**6
+
+
+class ScenarioError(ValueError):
+    """A fault of the scenario's own values, not of the grid a sweep runs it over."""
 
 
 @dataclass(frozen=True)
@@ -89,19 +97,23 @@ def _monte_carlo(params, curve, q, price, first_seed, trials):
 
 def check_draws(M, trials, rows=1, names=("scenario field M", "scenario field trials",
                                         "steps")) -> None:
-    """Refuse a run of more than MAX_DRAWS valuation draws, before it draws any.
+    """Refuse a run of more than MAX_DRAWS valuation draws or MAX_TRIALS
+    trials, before it draws any.
 
     The error names the first of M, trials and rows (their names in names)
-    that takes the product of it and those before it over the bound.
+    that takes the product of it and those before it over a bound.
     """
-    draws = 1
-    for name, factor in zip(names, (M, trials, rows)):
-        draws *= factor
-        if draws > MAX_DRAWS:
-            raise ValueError(
-                f"{name}: M x trials x rows = {M} x {trials} x {rows} = "
-                f"{M * trials * rows} valuation draws, over the limit of {MAX_DRAWS}"
-            )
+    for factors, product, unit, bound in (
+            ((M, trials, rows), "M x trials x rows", "valuation draws", MAX_DRAWS),
+            ((trials, rows), "trials x rows", "trials", MAX_TRIALS)):
+        total = 1
+        for name, factor in zip(names[-len(factors):], factors):
+            total *= factor
+            if total > bound:
+                raise ValueError(
+                    f"{name}: {product} = {' x '.join(map(str, factors))} = "
+                    f"{math.prod(factors)} {unit}, over the limit of {bound}"
+                )
 
 
 def simulate(config: ScenarioConfig) -> SimulationReport:
@@ -147,7 +159,8 @@ def sweep(
     Rows follow grid order; Monte-Carlo columns use config.trials runs each.
     Row r, trial t draws with seed + r*trials + t, extending simulate()'s
     per-trial seeding scheme across grid rows; a rejected row draws nothing,
-    and later rows keep their seeds.
+    and later rows keep their seeds.  A fault of the scenario alone, found
+    before any row, is a ScenarioError; any other is a plain ValueError.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
@@ -156,22 +169,23 @@ def sweep(
     check_draws(config.M, config.trials, steps)
     values = grid(lo, hi, steps).tolist()
     params, curve, q = config.market, config.curve, config.q
-    if parameter == "price":
-        if q is None:
-            raise ValueError("scenario field q: required for a price sweep")
-        if lo < 0:
-            raise ValueError(f"price sweep needs lo >= 0, got {lo}")
-        # every row sells the service of the configured q
-        model, p_star = config.model(), optimal_price(curve, q, params.gamma)
-        q_star, cost = optimal_data_size(params, curve).q_star, data_cost(q, params.k)
-    elif parameter == "q":
-        if not (lo > 0 and hi <= params.N):
-            raise ValueError(
-                f"q sweep must stay within (0, {params.N}], got [{lo}, {hi}]"
-            )
-        q_star = optimal_data_size(params, curve).q_star
-    elif lo <= 0:  # k and gamma rows re-optimize, so they need no global q*
+    if parameter == "price" and lo < 0:
+        raise ValueError(f"price sweep needs lo >= 0, got {lo}")
+    if parameter == "q" and not (lo > 0 and hi <= params.N):
+        raise ValueError(f"q sweep must stay within (0, {params.N}], got [{lo}, {hi}]")
+    if parameter in ("k", "gamma") and lo <= 0:
         raise ValueError(f"{parameter} sweep needs lo > 0, got {lo}")
+    try:  # from the scenario alone; k and gamma rows re-optimize, so need no q*
+        if parameter == "price":
+            if q is None:
+                raise ValueError("scenario field q: required for a price sweep")
+            # every row sells the service of the configured q
+            model, p_star = config.model(), optimal_price(curve, q, params.gamma)
+            q_star, cost = optimal_data_size(params, curve).q_star, data_cost(q, params.k)
+        elif parameter == "q":
+            q_star = optimal_data_size(params, curve).q_star
+    except ValueError as exc:
+        raise ScenarioError(exc) from None
 
     rows: list[SweepResultRow] = []
     for r, value in enumerate(values):

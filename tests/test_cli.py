@@ -86,6 +86,13 @@ class TestFit:
         assert cli_main(["fit", "--points", str(points)]) == 1
         assert capsys.readouterr().err == f"error: {points}: {reason}\n"
 
+    def test_header_only_file_is_an_error_without_a_warning(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("q,performance\n", encoding="utf-8")
+        assert cli_main(["fit", "--points", str(points)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {points}: no data rows after the header\n")
+
 
 class TestMetric:
     def test_reports_rate(self, tmp_path, capsys):
@@ -274,6 +281,31 @@ class TestSweep:
         assert capsys.readouterr().out.startswith("value,")
 
 
+    @pytest.mark.parametrize("argv, named, message", [
+        # q* overflows before any row, on the scenario alone
+        (["--param", "q", "--lo", "1", "--hi", "50"], True,
+         "expected profit overflows at data size 100.0: "),
+        # a flag puts the grid past the scenario's N
+        (["--param", "q", "--lo", "1", "--hi", "101"], False,
+         "q sweep must stay within (0, 100.0], got [1.0, 101.0]"),
+        # the second row's gamma, 5e307, overflows; the scenario's does not matter
+        (["--param", "gamma", "--lo", "1", "--hi", "1e308"], False,
+         "expected profit overflows at data size "),
+        (["--param", "price", "--lo", "-1", "--hi", "1"], False,
+         "price sweep needs lo >= 0, got -1.0"),
+    ], ids=("q-star", "q-grid", "gamma-row", "price-lo"))
+    def test_only_the_scenarios_own_faults_name_its_file(self, tmp_path, argv, named,
+                                                         message, capsys):
+        config = tmp_path / "huge.cfg"
+        config.write_text(taxi_scenario_path().read_text(encoding="utf-8")
+                          .replace("gamma = 1\n", "gamma = 1e308\n"), encoding="utf-8")
+        code = cli_main(["sweep", "--config", str(config), *argv, "--steps", "3",
+                         "--trials", "2"])
+        assert code == 1
+        prefix = f"error: {config}: " if named else "error: "
+        assert capsys.readouterr().err.startswith(prefix + message)
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli_main([]) == 1
@@ -339,8 +371,9 @@ class TestExitCodes:
         assert cli_main([*argv, "--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert "inf" not in captured.out
-        # a sweep's grid comes from its flags, so only the others name the file
-        named = "" if argv[0] == "sweep" else f"{config}: "
+        # the gamma sweep overflows at a row its flags chose, so only the
+        # others, which overflow on the scenario alone, name the file
+        named = "" if "gamma" in argv else f"{config}: "
         assert f"error: {named}expected profit overflows" in captured.err
 
     @pytest.mark.parametrize("argv", [
@@ -358,8 +391,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "inf" not in captured.out
         assert "warning:" not in captured.err
-        named = "" if argv[0] == "sweep" else f"{config}: "
-        assert f"error: {named}data cost k*q" in captured.err
+        assert f"error: {config}: data cost k*q" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--trials", "3"],
@@ -389,10 +421,15 @@ class TestExitCodes:
         (["simulate"], {"M": "1000000000000000"}, "scenario field M"),
         (["sweep", "--param", "k", "--lo", "1", "--hi", "2", "--steps", "3"],
          {"M": "1000000000000000"}, "scenario field M"),
-    ], ids=("steps", "trials-flag", "trials", "M-simulate", "M-sweep"))
+        (["simulate", "--trials", "1000001"], {"M": "1"}, "--trials"),
+        (["simulate"], {"M": "1", "trials": "1000001"}, "scenario field trials"),
+        (["sweep", "--param", "q", "--lo", "1", "--hi", "100", "--steps", "101",
+          "--trials", "10000"], {"M": "1"}, "--steps"),
+    ], ids=("steps", "trials-flag", "trials", "M-simulate", "M-sweep",
+            "M1-trials-flag", "M1-trials", "M1-steps"))
     def test_draws_over_the_bound_name_their_field(self, tmp_path, argv, scenario,
                                                    field, capsys):
-        # 7 PiB of valuations: refused before any array is allocated
+        # 7 PiB of valuations, or 10**6 + 1 trials: refused before any is drawn
         config = tmp_path / "big.cfg"
         text = taxi_scenario_path().read_text(encoding="utf-8")
         for key, value in scenario.items():
@@ -402,8 +439,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         named = f"{config}: " if field.startswith("scenario") else ""
-        assert captured.err.startswith(f"error: {named}{field}: M x trials x rows = ")
-        assert captured.err.endswith(" valuation draws, over the limit of 100000000\n")
+        if scenario.get("M") == "1":  # one draw a trial: the trial bound refuses it
+            product, tail = "trials x rows", " trials, over the limit of 1000000\n"
+        else:
+            product, tail = "M x trials x rows", " valuation draws, over the limit of 100000000\n"
+        assert captured.err.startswith(f"error: {named}{field}: {product} = ")
+        assert captured.err.endswith(tail)
 
     def test_closed_form_takes_any_market_size(self, tmp_path, capsys):
         config = tmp_path / "big.cfg"

@@ -156,15 +156,14 @@ def test_non_utf8_file_is_named(tmp_path, reader, text):
     assert "can't decode byte 0xff" in message
 
 
-# The column pass only decides whether a file is valid; the row-by-row reader
-# words every error.  These tests hold the two to one decision per file.
-# per reader: its header, and the record attribute behind each table field
-READERS = {
-    read_bids: (BID_HEADER, ("customer_id", "bid")),
-    read_predictions: (PREDICTION_HEADER, ("y_true", "y_pred")),
-    read_experiment_points: (POINT_HEADER, ("q", "alpha")),
-}
+# The C pass (one np.loadtxt call) takes a file only where the row-by-row
+# reader would take it with the same values; the row reader words every error.
+# These tests hold the two to one decision per file.
+READERS = {read_bids: BID_HEADER, read_predictions: PREDICTION_HEADER,
+           read_experiment_points: POINT_HEADER}
 HUGE = b"9" * 131073
+# a finite number one character over csv.field_size_limit()
+FINITE_HUGE = b"0." + b"0" * 131072 + b"1"
 
 
 def read(reader, path):
@@ -176,67 +175,55 @@ def read(reader, path):
 
 
 def read_rows(reader, path):
-    """What the row-by-row reader alone makes of path: (records, None) or
+    """What the row-by-row reader alone makes of path: (table, None) or
     (None, message)."""
-    records = []
-    row_reader = csvio._read_records
-
-    def keep(*args):
-        records.extend(row_reader(*args))
-        return records
-
-    def refuse(*args):
-        raise ValueError("column pass skipped")
-
-    with mock.patch.object(csvio, "_parse_columns", refuse), \
-            mock.patch.object(csvio, "_read_records", keep):
-        try:
-            reader(path)
-        except ValueError as exc:
-            return None, str(exc)
-        except RuntimeError:  # the row reader accepted the file
-            return records, None
-    raise AssertionError("the column pass was not skipped")
+    with mock.patch.object(csvio, "_fits", lambda *args: False):
+        return read(reader, path)
 
 
 def assert_same_decision(reader, path):
     table, message = read(reader, path)
-    records, row_message = read_rows(reader, path)
-    assert (table is None) == (records is None), (message, row_message)
+    rows, row_message = read_rows(reader, path)
+    assert (table is None) == (rows is None), (message, row_message)
     assert message == row_message
     if table is not None:
-        header, attributes = READERS[reader]
-        assert table.dtype.names == header
-        assert len(table) == len(records)
-        for field, attribute in zip(header, attributes):
-            column = [getattr(record, attribute) for record in records]
+        assert table.dtype == rows.dtype and table.dtype.names == READERS[reader]
+        assert len(table) == len(rows)
+        for field in table.dtype.names:
             if table[field].dtype == object:
-                assert table[field].tolist() == column
+                assert table[field].tolist() == rows[field].tolist()
             else:
                 assert list(map(float.hex, table[field].tolist())) == list(
-                    map(float.hex, column))
+                    map(float.hex, rows[field].tolist()))
 
 
-# cells every column takes, one a quoted field spanning lines, and cells that
-# some column or every column refuses (id0 repeats the first bid id)
+# cells every column takes (one in Arabic-Indic digits, which float() reads
+# and np.loadtxt does not, and quoted ones spanning lines), and cells that
+# some column or every column refuses (id0 repeats the first bid id; \x1c is
+# whitespace to np.loadtxt but not to float(); quotes in odd places and a #)
 GOOD = tuple(cell.encode() for cell in
-             ("0.5", "1", " 0.25 ", "0_0.75", "1e-300", '"0.5\n"'))
+             ("0.5", "1", " 0.25 ", "0_0.75", "1e-300", '"0.5\n"', "٠.٧٥",
+              '"\n\r\n0.5 \r"'))
 BAD = tuple(cell.encode() for cell in
             ("0", "-0", "-1", "1_0", "1e308", "1e999", "inf", "-inf", "nan", "", "x",
-             "id0", '"a\nb"', '"1,5"'))
+             "id0", '"a\nb"', '"1,5"', "1#", "#", "1\x1c", '"a""b"', '"ab"c', 'a"b',
+             ' "a"'))
 # rows a fault inserts: a blank line, a row cut short or too long, a bad UTF-8
-# byte and a field over the csv module's size limit
+# byte and a field over the csv module's size limit, infinite or finite
 ROWS = {"blank": [], "short": [b"1"], "long": [b"1"] * 3, "utf8": [b"1", b"\xff"],
-        "huge": [b"1", HUGE]}
+        "huge": [b"1", HUGE], "finite": [b"1", FINITE_HUGE]}
 
 
 @st.composite
 def csv_files(draw):
     """A reader and the bytes of a valid file for it, with up to two faults:
     a cell replaced by one from BAD, an inserted row from ROWS, or a wrong
-    header."""
+    header.  Lines end in LF, CRLF or a bare CR, and the header may be
+    quoted across two lines."""
     reader = draw(st.sampled_from(list(READERS)))
-    header = ",".join(READERS[reader][0]).encode()
+    first, second = (name.encode() for name in READERS[reader])
+    header = draw(st.sampled_from([b"%s,%s" % (first, second),
+                                   b'"%s\n",%s' % (first, second)]))
     good = st.sampled_from(GOOD)
     rows = [[b"id%d" % i if reader is read_bids else draw(good), draw(good)]
             for i in range(draw(st.integers(0, 6)))]
@@ -249,22 +236,104 @@ def csv_files(draw):
             rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(BAD))
         else:
             rows.insert(i, list(ROWS.get(fault, [b"1", draw(st.sampled_from(BAD))])))
-    return reader, b"\n".join([header, *map(b",".join, rows)]) + b"\n"
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return reader, end.join([header, *map(b",".join, rows)]) + end
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example(file=(read_bids, b"customer_id,bid\nid0,0.5\n\nid1,1_0\n"), chunk=1)
-@example(file=(read_experiment_points, b'q,performance\n"1\n",0.5\n 2 ,1\n'), chunk=2)
-@example(file=(read_predictions, b"y_true,y_pred\n1e308,-1e308\ninf,1\nx,1\n"), chunk=1)
-@example(file=(read_bids, b"customer_id,bid\na,x\n\xff\n"), chunk=1)
-@given(file=csv_files(), chunk=st.sampled_from([1, 2, 3, 1024]))
-def test_column_pass_decides_as_the_row_reader(tmp_path, file, chunk):
+@example(file=(read_bids, b"customer_id,bid\nid0,0.5\n\nid1,1_0\n"))
+@example(file=(read_experiment_points, b'q,performance\n"1\n",0.5\n 2 ,1\n'))
+@example(file=(read_predictions, b"y_true,y_pred\n1e308,-1e308\ninf,1\nx,1\n"))
+@example(file=(read_bids, b"customer_id,bid\na,x\n\xff\n"))
+@example(file=(read_bids, b"customer_id,bid\n#a,1\na#,0.5\n"))
+@example(file=(read_predictions, b"y_true,y_pred\n1,2#\n"))
+@example(file=(read_predictions, "y_true,y_pred\n١,٢.٥\n".encode()))
+@example(file=(read_bids, b"customer_id,bid\rid0,0.5\r\rid1,1\r"))
+@example(file=(read_predictions, b'"y_true\n",y_pred\n1,2\n'))
+@example(file=(read_experiment_points, b'q,performance\n"\n\n1\r\n",0.5\n'))
+@example(file=(read_predictions, b"y_true,y_pred\n1,%s\n" % FINITE_HUGE))
+@example(file=(read_predictions, b"y_true,y_pred\n1,\x1c2\n"))
+@example(file=(read_bids, b"customer_id,bid\na\x1cb,2\n"))
+@example(file=(read_bids, b"customer_id,bid\nid0,0.5\n"))
+@example(file=(read_bids, b"customer_id,bid\n"))
+@given(file=csv_files())
+def test_column_pass_decides_as_the_row_reader(tmp_path, file):
     reader, data = file
     path = tmp_path / "fuzz.csv"
     path.write_bytes(data)
-    with mock.patch.object(csvio, "_CHUNK_ROWS", chunk):
-        assert_same_decision(reader, path)
+    assert_same_decision(reader, path)
+
+
+def c_pass_only(reader, path):
+    """reader(path) with the row reader switched off: the C pass must take it."""
+    with mock.patch.object(csvio, "_read_records",
+                           side_effect=AssertionError("the row reader ran")):
+        return reader(path)
+
+
+# files csv.reader and np.loadtxt part alike: quoted ids holding commas,
+# quotes and line ends, blank lines, padded numbers, any line end, one row
+@pytest.mark.parametrize("reader, data", [
+    (read_bids,
+     b'customer_id,bid\r\n"a,""b""\r\nc",0.5\r\n\r\n"ab"c, 1 \r\nd"e,"\n2\n"\r\n'),
+    (read_bids, b"customer_id,bid\rid0,0.5\r\rid1,1\r"),
+    (read_bids, b"customer_id,bid\nid0,0.5"),
+    (read_predictions, b" y_true , y_pred \n\n-1e-300,\t1e300\n"),
+    (read_experiment_points, b'q,performance\n"\n1\n",0\n1e308,1\n'),
+], ids=("quoted-crlf", "bare-cr", "one-row", "padded", "multi-line"))
+def test_the_c_pass_takes_what_the_row_reader_takes(tmp_path, reader, data):
+    path = tmp_path / "plain.csv"
+    path.write_bytes(data)
+    assert len(c_pass_only(reader, path))
+    assert_same_decision(reader, path)
+
+
+@pytest.mark.parametrize("reader", list(READERS), ids=("bids", "predictions", "points"))
+def test_finite_number_over_the_csv_size_limit_names_its_line(tmp_path, reader):
+    header = ",".join(READERS[reader]).encode()
+    path = tmp_path / "huge.csv"
+    path.write_bytes(header + b"\n1,1\n2," + FINITE_HUGE + b"\n")
+    with pytest.raises(ValueError,
+                       match=r"huge\.csv:3: field larger than field limit \(131072\)"):
+        reader(path)
+
+
+# a field of exactly csv.field_size_limit() characters, and one of one more:
+# an id of commas, whose runs of comma-free bytes are short, and a number
+# ending the file, whose run of comma-free bytes is the number itself
+@pytest.mark.parametrize("reader, field, row, value", [
+    (read_bids, "customer_id", lambda n: b'"' + b"," * n + b'",1', lambda n: "," * n),
+    (read_predictions, "y_pred", lambda n: b"1," + b"0" * (n - 1) + b"1", lambda n: 1.0),
+], ids=("id", "number"))
+def test_a_field_at_the_csv_size_limit_is_taken_and_one_past_it_refused(
+        tmp_path, reader, field, row, value):
+    limit = csv.field_size_limit()
+    header = ",".join(READERS[reader]).encode()
+    path = tmp_path / "limit.csv"
+    path.write_bytes(header + b"\n" + row(limit))
+    assert c_pass_only(reader, path)[field].tolist() == [value(limit)]
+    path.write_bytes(header + b"\n" + row(limit + 1))
+    with pytest.raises(ValueError, match=rf"limit\.csv:2: field larger than field "
+                                         rf"limit \({limit}\)"):
+        reader(path)
+
+
+# _fits reads a file a MiB at a time: a comma-free run (a number, its line end
+# and the next id) of exactly the limit, or one more, across the first MiB
+@pytest.mark.parametrize("extra, fits", [(0, True), (1, False)])
+def test_a_comma_free_run_is_measured_across_reads(tmp_path, extra, fits):
+    limit = csv.field_size_limit()
+    rows = b"1,1\n" * (((1 << 20) - limit // 2) // 4)
+    number = b"0" * (limit - 3 + extra) + b"1"
+    path = tmp_path / "runs.csv"
+    path.write_bytes(b"y_true,y_pred\n" + rows + b"2," + number + b"\n3,1\n")
+    assert path.stat().st_size - 4 - len(number) < 1 << 20 < path.stat().st_size - 4
+    table = read_predictions(path)
+    assert len(table) == len(rows) // 4 + 2
+    assert csvio._fits(path, table) is fits
+    path.write_bytes(b"y_true,y_pred\n" + rows + b"2,1\x1c\n")
+    assert not csvio._fits(path, table)
 
 
 # each column check at its bound: a file with one value on or just past it
@@ -290,6 +359,8 @@ def test_column_checks_meet_the_row_checks_at_their_bounds(tmp_path, reader, tex
     path = tmp_path / "bound.csv"
     path.write_text(text, encoding="utf-8")
     assert_same_decision(reader, path)
+    if read(reader, path)[0] is not None:  # a value on the bound passes the C pass
+        c_pass_only(reader, path)
 
 
 # a bad number on line 2, then 20 000 good rows, so the second fault lies
@@ -302,7 +373,7 @@ def test_column_checks_meet_the_row_checks_at_their_bounds(tmp_path, reader, tex
 ], ids=("bids", "predictions", "points"))
 def test_first_of_two_faults_is_reported(tmp_path, reader, rows, second):
     bad, good = rows
-    header = ",".join(READERS[reader][0]).encode()
+    header = ",".join(READERS[reader]).encode()
     path = tmp_path / "two.csv"
     path.write_bytes(b"\n".join([header, bad, *(good % (i + 1) for i in range(20000)),
                                  second]) + b"\n")

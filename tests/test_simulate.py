@@ -6,6 +6,8 @@ import pytest
 
 from datamarket import (
     MAX_DRAWS,
+    MAX_TRIALS,
+    ScenarioError,
     ScenarioConfig,
     check_draws,
     expected_profit,
@@ -119,11 +121,36 @@ class TestDrawBound:
         with pytest.raises(ValueError, match="^steps: "):
             sweep(huge, "q", 1.0, 100.0, 10**15)
 
+    def test_trials_are_bounded_whatever_M_is(self):
+        # at M = 1 the draw bound would admit 10**8 trials, some 50 minutes
+        assert MAX_TRIALS == 10**6
+        check_draws(1, 10**6)
+        check_draws(1, 10**4, 100)
+        with pytest.raises(ValueError, match=r"^trials: trials x rows = 1000001 x 1 = "
+                                             r"1000001 trials, over the limit of "
+                                             r"1000000$"):
+            check_draws(1, 10**6 + 1, names=("M", "trials", "steps"))
+        with pytest.raises(ValueError, match=r"^steps: trials x rows = 10000 x 101 = "):
+            check_draws(1, 10**4, 101, names=("M", "trials", "steps"))
+        with pytest.raises(ValueError, match="^scenario field trials: trials x rows"):
+            simulate(replace(taxi_scenario(), M=1, trials=10**6 + 1))
+
 
 class TestSweepValidation:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             sweep(small_config(), "price_and_q", 0.0, 1.0, 10)
+
+    def test_only_the_scenarios_own_faults_are_scenario_errors(self):
+        with pytest.raises(ScenarioError, match="expected profit overflows"):
+            sweep(replace(small_config(), gamma=1e308), "q", 1.0, 50.0, 3)
+        with pytest.raises(ScenarioError, match="scenario field q: required"):
+            sweep(replace(small_config(), q=None), "price", 0.0, 1.0, 3)
+        for parameter, lo, hi in (("q", 1.0, 1e3), ("gamma", 1.0, 1e308),
+                                  ("price", -1.0, 1.0)):
+            with pytest.raises(ValueError) as excinfo:
+                sweep(small_config(), parameter, lo, hi, 3)
+            assert type(excinfo.value) is ValueError
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError, match="lo < hi"):
