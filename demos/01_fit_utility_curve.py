@@ -6,29 +6,28 @@ then wants the smooth law performance = a + b*ln(q) behind those points.
 
 import numpy as np
 
-from datamarket import ExperimentPoint, UtilityCurve, data_utility, evaluate_fit, fit_utility
+from datamarket import UtilityCurve, data_utility, evaluate_fit, least_squares_fit
 
 rng = np.random.default_rng(7)
 
 # ground truth we pretend not to know (close to the taxi trip-time service)
 truth = UtilityCurve(a=0.4944, b=0.0079)
 
+# the experiment points: data sizes q and the performance measured at each
 sizes = np.array([1, 2, 5, 10, 20, 35, 50, 70, 85, 100], dtype=float)
-points = [
-    ExperimentPoint(q=float(q), alpha=float(data_utility(float(q), truth) + eps))
-    for q, eps in zip(sizes, rng.normal(scale=0.002, size=sizes.size))
-]
+performance = data_utility(sizes, truth) + rng.normal(scale=0.002, size=sizes.size)
 
 print("measured experiment points:")
-for p in points:
-    print(f"  q = {p.q:6.1f}   performance = {p.alpha:.4f}")
+for q, alpha in zip(sizes, performance):
+    print(f"  q = {q:6.1f}   performance = {alpha:.4f}")
 
-report = fit_utility(points)
+report = least_squares_fit(sizes, performance)
 print("\nleast-squares fit of performance = a + b*ln(q):")
 print(f"  a     = {report.curve.a:.4f}   (truth {truth.a})")
 print(f"  b     = {report.curve.b:.5f}  (truth {truth.b})")
 print(f"  rmse  = {report.rmse:.5f} over {report.n_points} points")
-print(f"  truth curve rmse on the same points = {evaluate_fit(truth, points):.5f}")
+print(f"  truth curve rmse on the same points = "
+      f"{evaluate_fit(truth, sizes, performance):.5f}")
 
 print("\nextrapolated performance:")
 for q in (150.0, 300.0, 1000.0):

@@ -7,13 +7,14 @@ and why no bidder can gain by shading its bid.
 import numpy as np
 
 from datamarket import (
-    CustomerBid,
     UtilityCurve,
     ValuationModel,
-    customer_utility,
+    data_cost,
     optimal_price,
-    run_auction,
+    posted_price,
+    sale_profit,
     sample_valuations,
+    virtual_valuation,
 )
 
 curve = UtilityCurve(a=0.4944, b=0.0079)
@@ -24,26 +25,31 @@ print(f"service built from q = {q} data units")
 print(f"valuations are uniform on [0, {model.support_max:.4f}]")
 print(f"posted price p* = {optimal_price(curve, q, gamma):.4f}\n")
 
-values = sample_valuations(8, model, seed=11)
-bids = [CustomerBid(f"c{i}", float(v)) for i, v in enumerate(values)]
-result = run_auction(bids, model, q=q, k=k)
+# customer i bids bids[i]: truthfully, its valuation
+bids = sample_valuations(8, model, seed=11)
+winners, price = posted_price(bids, model)
+payments = np.where(winners, price, 0.0)
 
 print("customer   bid      virtual   wins  pays")
-for i, bid in enumerate(bids):
-    print(
-        f"{bid.customer_id:>8}   {bid.bid:.4f}   {result.virtual_bids[i]:+.4f}   "
-        f"{int(result.outcome.allocations[i])}     {result.outcome.payments[i]:.4f}"
-    )
-print(f"\nwinners pay the same threshold price {result.threshold_price:.4f}")
-print(f"gross profit = payments - data cost = {result.outcome.gross_profit:.4f}")
+for i, (bid, virtual) in enumerate(zip(bids, virtual_valuation(bids, model))):
+    print(f"{f'c{i}':>8}   {bid:.4f}   {virtual:+.4f}   "
+          f"{int(winners[i])}     {payments[i]:.4f}")
+print(f"\nwinners pay the same threshold price {price:.4f}")
+profit = sale_profit(np.count_nonzero(winners), price, data_cost(q, k))
+print(f"gross profit = payments - data cost = {profit:.4f}")
+
+
+def utility(bids, i, true_value):
+    """Customer i's realized utility v - price if it wins, else 0."""
+    won, price = posted_price(bids, model)
+    return true_value - price if won[i] else 0.0
+
 
 # deviating from the truthful bid never helps
-victim = bids[0]
-true_value = victim.bid
-print(f"\n{victim.customer_id} (true value {true_value:.4f}) tries other bids:")
+true_value = bids[0]
+print(f"\nc0 (true value {true_value:.4f}) tries other bids:")
 for shaded in np.linspace(0.0, model.support_max, 6):
-    trial = [CustomerBid(victim.customer_id, float(shaded))] + bids[1:]
-    outcome = run_auction(trial, model, q=q, k=k)
-    utility = customer_utility(victim, true_value, outcome)
-    print(f"  bid {shaded:.4f} -> utility {utility:+.4f}")
-print(f"  truthful utility stays {customer_utility(victim, true_value, result):+.4f}")
+    trial = bids.copy()
+    trial[0] = shaded
+    print(f"  bid {shaded:.4f} -> utility {utility(trial, 0, true_value):+.4f}")
+print(f"  truthful utility stays {utility(bids, 0, true_value):+.4f}")

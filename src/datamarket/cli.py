@@ -21,7 +21,7 @@ import numpy as np
 from . import csvio
 from .auction import posted_price, sale_profit
 from .fitting import hit_rate, least_squares_fit
-from .market import data_cost
+from .market import data_cost, require_positive
 from .optimize import optimal_data_size
 from .scenario import load_scenario
 from .simulate import SWEEP_PARAMETERS, ScenarioError, check_draws, simulate, sweep
@@ -58,6 +58,7 @@ def _cmd_fit(args):
 
 
 def _cmd_metric(args):
+    require_positive("--tau", args.tau)
     records = csvio.read_predictions(args.predictions)
     rate = hit_rate(records["y_true"], records["y_pred"], args.tau)
     return {"satisfaction_rate": rate, "n_records": len(records), "tau": args.tau}, None
@@ -114,6 +115,8 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     config = _monte_carlo_config(args, args.steps)
+    if args.steps < 2:  # grid()'s bound, checked here to name the flag
+        raise ValueError(f"--steps: need at least 2 grid points, got {args.steps}")
     with _naming(args.config, ScenarioError):
         rows = sweep(config, args.param, args.lo, args.hi, args.steps)
     return None, lambda out: csvio.write_sweep_csv(rows, out)

@@ -3,8 +3,9 @@
 All files are UTF-8 with a mandatory header row and `.` as decimal separator.
 A reader returns a numpy structured array with one field per header name and
 one element per data row, parsed in C by one np.loadtxt call, after checking
-whole columns.  A file that call refuses or might take wrongly, or that fails
-a check, is read row by row, to name the first faulty line or to return it.
+whole columns with the checks of the array cores that take them.  A file that
+call refuses or might take wrongly, or that fails a check, is read row by row,
+to name the first faulty line or to return it.
 
 Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
 line ends), but _CHUNK_ROWS rows at a time through one %-template per table,
@@ -15,6 +16,7 @@ _FLOAT_SPEC: 6 significant digits, so outputs diff cleanly.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import fields
@@ -24,8 +26,9 @@ from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fitting import ExperimentPoint, PredictionRecord
-from .market import CustomerBid
+from .auction import _checked_bids
+from .fitting import _checked_points, _checked_predictions
+from .market import require_positive
 from .simulate import SweepResultRow
 
 __all__ = [
@@ -129,12 +132,13 @@ def _fits(path, table: np.ndarray) -> bool:
 
 
 def _read_table(path, header: Sequence[str], kinds: Sequence[type],
-                valid: Callable[[np.ndarray], bool], record: Callable) -> np.ndarray:
-    """path's data rows as a structured array, once valid(table) holds on them.
+                check: Callable, record: Callable) -> np.ndarray:
+    """path's data rows as a structured array, once check takes its columns.
 
     One np.loadtxt call parses the file in C.  A file it refuses, whose
-    header is not one unquoted line, or whose table fails valid or _fits, is
-    read by _read_records with record (its objects hold a row's fields in
+    header is not one unquoted line, whose columns (in header order) check
+    raises a ValueError for, or that fails _fits, is read by _read_records
+    with record (it checks one row and returns its fields as a tuple in
     header order): that raises the first fault in file order as path:line,
     or returns the rows of the table np.loadtxt would have made.
     """
@@ -145,12 +149,13 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
             if [cell.strip() for cell in fh.readline().split(",")] == list(header):
                 table = np.loadtxt(fh, dtype, comments=None, delimiter=",",
                                    quotechar='"', ndmin=1)
-                if len(table) and valid(table) and _fits(path, table):
-                    return table
+                if len(table):
+                    check(*(table[name] for name in header))
+                    if _fits(path, table):
+                        return table
     except ValueError:  # any fault; UnicodeDecodeError is a ValueError
         pass
-    records = _read_records(path, header, record)
-    return np.array([tuple(vars(row).values()) for row in records], dtype)
+    return np.array(_read_records(path, header, record), dtype)
 
 
 def _number(name: str, value: str) -> float:
@@ -172,13 +177,15 @@ def read_bids(path) -> np.ndarray:
         first = first_line.setdefault(cid, line)
         if first != line:
             raise ValueError(f"duplicate customer_id {cid!r}, first on line {first}")
-        return CustomerBid(customer_id=cid, bid=_number("bid", value))
+        return cid, require_positive("bid", _number("bid", value), True)
 
-    def valid(table):
-        ids, bids = table["customer_id"].tolist(), table["bid"]
-        return len(set(ids)) == len(ids) and np.isfinite(bids).all() and (bids >= 0).all()
+    def check(ids, bids):
+        ids = ids.tolist()
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate customer_id")
+        _checked_bids(bids)
 
-    return _read_table(path, BID_HEADER, (object, float), valid, bid)
+    return _read_table(path, BID_HEADER, (object, float), check, bid)
 
 
 def read_predictions(path) -> np.ndarray:
@@ -188,13 +195,13 @@ def read_predictions(path) -> np.ndarray:
     all finite.
     """
 
-    def record(_, y_true, y_pred):
-        return PredictionRecord(_number("y_true", y_true), _number("y_pred", y_pred))
+    def pair(_, y_true, y_pred):
+        y_true, y_pred = _number("y_true", y_true), _number("y_pred", y_pred)
+        if not (math.isfinite(y_true) and math.isfinite(y_pred)):
+            raise ValueError(f"prediction values must be finite, got ({y_true}, {y_pred})")
+        return y_true, y_pred
 
-    def valid(table):
-        return all(np.isfinite(table[name]).all() for name in PREDICTION_HEADER)
-
-    return _read_table(path, PREDICTION_HEADER, (float, float), valid, record)
+    return _read_table(path, PREDICTION_HEADER, (float, float), _checked_predictions, pair)
 
 
 def read_experiment_points(path) -> np.ndarray:
@@ -205,14 +212,13 @@ def read_experiment_points(path) -> np.ndarray:
     """
 
     def point(_, q, alpha):
-        return ExperimentPoint(q=_number("q", q), alpha=_number("performance", alpha))
+        q, alpha = _number("q", q), _number("performance", alpha)
+        require_positive("data size", q)
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"performance must lie in [0, 1], got {alpha}")
+        return q, alpha
 
-    def valid(table):
-        q, alpha = table["q"], table["performance"]
-        finite = np.isfinite(q).all()
-        return finite and (q > 0).all() and ((alpha >= 0) & (alpha <= 1)).all()
-
-    return _read_table(path, POINT_HEADER, (float, float), valid, point)
+    return _read_table(path, POINT_HEADER, (float, float), _checked_points, point)
 
 
 def _cells(column, start: int, stop: int) -> list:

@@ -1,53 +1,25 @@
-"""Prediction-quality metric and least-squares fitting of the utility curve."""
+"""Prediction-quality metric and least-squares fitting of the utility curve.
+
+Each function takes its records as aligned numpy arrays, one per field, and
+checks them: unequal lengths or a value out of range is a ValueError naming
+the field.
+"""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .market import UtilityCurve, data_utility, require_positive
 
 __all__ = [
-    "PredictionRecord",
-    "ExperimentPoint",
     "FitReport",
-    "satisfaction_rate",
     "hit_rate",
-    "fit_utility",
     "least_squares_fit",
     "evaluate_fit",
 ]
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One (true value, predicted value) pair from a model evaluation run."""
-
-    y_true: float
-    y_pred: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.y_true) and math.isfinite(self.y_pred)):
-            raise ValueError(
-                f"prediction values must be finite, got ({self.y_true}, {self.y_pred})"
-            )
-
-
-@dataclass(frozen=True)
-class ExperimentPoint:
-    """Measured performance alpha in [0, 1] at training data size q."""
-
-    q: float
-    alpha: float
-
-    def __post_init__(self):
-        require_positive("data size", self.q)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"performance must lie in [0, 1], got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -63,18 +35,40 @@ class FitReport:
     n_points: int
 
 
-def satisfaction_rate(records: Sequence[PredictionRecord], tau: float) -> float:
-    """Fraction of predictions with absolute error strictly below tau."""
-    n = len(records)
-    return hit_rate(np.fromiter((r.y_true for r in records), dtype=float, count=n),
-                    np.fromiter((r.y_pred for r in records), dtype=float, count=n), tau)
+def _require_equal_lengths(names: str, first, second) -> None:
+    if len(first) != len(second):
+        raise ValueError(
+            f"{names} must have equal lengths, got {len(first)} and {len(second)}")
+
+
+def _checked_predictions(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
+    """y_true and y_pred as aligned float arrays of finite pairs."""
+    _require_equal_lengths("y_true and y_pred", y_true, y_pred)
+    y_true, y_pred = np.asarray(y_true, dtype=float), np.asarray(y_pred, dtype=float)
+    finite = np.isfinite(y_true) & np.isfinite(y_pred)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first pair that is not
+        raise ValueError(f"prediction values must be finite, "
+                         f"got ({float(y_true[i])}, {float(y_pred[i])})")
+    return y_true, y_pred
+
+
+def _checked_points(q, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """q and alpha as aligned float arrays: q finite and positive, alpha in [0, 1]."""
+    _require_equal_lengths("q and alpha", q, alpha)
+    q = require_positive("data size", q)
+    alpha = np.asarray(alpha, dtype=float, order="C")  # copied as require_positive does
+    # initial values in [0, 1] let an empty array pass; NaN propagates
+    for bound in (alpha.min(initial=0.0), alpha.max(initial=1.0)):
+        if not 0.0 <= bound <= 1.0:
+            raise ValueError(f"performance must lie in [0, 1], got {float(bound)}")
+    return q, alpha
 
 
 def hit_rate(y_true: np.ndarray, y_pred: np.ndarray, tau: float) -> float:
-    """Fraction of aligned finite pairs with |y_true - y_pred| < tau.
-
-    The array core of satisfaction_rate().
-    """
+    """Fraction of aligned finite pairs with |y_true - y_pred| < tau: the
+    satisfaction rate of the predictions y_pred of y_true."""
+    y_true, y_pred = _checked_predictions(y_true, y_pred)
     if len(y_true) == 0:
         raise ValueError("records must be non-empty")
     require_positive("tolerance", tau)
@@ -83,19 +77,14 @@ def hit_rate(y_true: np.ndarray, y_pred: np.ndarray, tau: float) -> float:
     return hits / len(y_true)
 
 
-def fit_utility(points: Sequence[ExperimentPoint]) -> FitReport:
-    """Fit performance = a + b*ln(q) to experiment points by least squares."""
-    return least_squares_fit(*_columns(points))
-
-
 def least_squares_fit(q: np.ndarray, alpha: np.ndarray) -> FitReport:
     """Fit alpha = a + b*ln(q) to aligned arrays of positive q by least squares.
 
     The model is linear in (a, b) once q is log-transformed, so the exact
     minimizer of the mean squared residual comes from the 2x2 normal
-    equations; no iterative solver, no starting point, no tolerances.  The
-    array core of fit_utility().
+    equations; no iterative solver, no starting point, no tolerances.
     """
+    q, alpha = _checked_points(q, alpha)
     if len(q) < 2:
         raise ValueError(f"need at least 2 experiment points, got {len(q)}")
     x = np.log(q)
@@ -109,22 +98,13 @@ def least_squares_fit(q: np.ndarray, alpha: np.ndarray) -> FitReport:
     if b <= 0:
         warnings.warn("fitted slope is not positive; profit optimization "
                       "will refuse this curve", stacklevel=2)
-    return FitReport(curve=curve, rmse=_rmse(curve, q, alpha), n_points=len(q))
+    return FitReport(curve=curve, rmse=evaluate_fit(curve, q, alpha), n_points=len(q))
 
 
-def evaluate_fit(curve: UtilityCurve, points: Sequence[ExperimentPoint]) -> float:
-    """Root-mean-square residual of a curve against experiment points."""
-    if len(points) == 0:
+def evaluate_fit(curve: UtilityCurve, q: np.ndarray, alpha: np.ndarray) -> float:
+    """Root-mean-square residual of a curve against aligned arrays of data
+    sizes q and performances alpha."""
+    q, alpha = _checked_points(q, alpha)
+    if len(q) == 0:
         raise ValueError("points must be non-empty")
-    return _rmse(curve, *_columns(points))
-
-
-def _columns(points: Sequence[ExperimentPoint]) -> tuple[np.ndarray, np.ndarray]:
-    """The data sizes and the performances of the points, as two arrays."""
-    n = len(points)
-    return (np.fromiter((p.q for p in points), dtype=float, count=n),
-            np.fromiter((p.alpha for p in points), dtype=float, count=n))
-
-
-def _rmse(curve: UtilityCurve, q: np.ndarray, alpha: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(alpha - data_utility(q, curve)))))

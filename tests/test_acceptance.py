@@ -13,27 +13,25 @@ import numpy as np
 import pytest
 
 from datamarket import (
-    CustomerBid,
-    ExperimentPoint,
     MarketParams,
-    PredictionRecord,
     UtilityCurve,
     ValuationModel,
-    customer_utility,
     data_cost,
     data_utility,
     expected_profit,
-    fit_utility,
     grid_argmax,
+    hit_rate,
+    least_squares_fit,
     optimal_data_size,
     optimal_price,
-    run_auction,
+    posted_price,
+    sale_profit,
     sample_valuations,
-    satisfaction_rate,
     simulate,
     sweep,
     taxi_scenario,
     valuation_cdf,
+    virtual_valuation,
 )
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
@@ -129,6 +127,12 @@ def test_criterion_4_monte_carlo_profit_validation():
         assert time.perf_counter() - start < 10.0
 
 
+def _utility(bids, i, v, model):
+    """Customer i's utility, valuing the service at v: v - price if it wins, else 0."""
+    winners, price = posted_price(bids, model)
+    return v - price if winners[i] else 0.0
+
+
 def test_criterion_5_incentive_compatibility_and_rationality():
     with criterion(5, "truthful bidding optimal and never loss-making"):
         rng = np.random.default_rng(2024)
@@ -141,26 +145,23 @@ def test_criterion_5_incentive_compatibility_and_rationality():
             )
             q = float(rng.uniform(1.0, 100.0))
             gamma = float(rng.uniform(0.2, 5.0))
-            k = float(rng.uniform(0.1, 2.0))
+            rng.uniform(0.1, 2.0)  # the unit data cost k: no customer's utility uses it
             M = int(rng.integers(1, 7))
             model = ValuationModel.from_market(curve, q, gamma)
             values = sample_valuations(M, model, seed=int(rng.integers(1 << 31)))
-            bids = [CustomerBid(f"c{i}", float(v)) for i, v in enumerate(values)]
-            truthful = run_auction(bids, model, q=q, k=k)
             grid = np.linspace(0.0, model.support_max, deviation_points)
-            for i, bid in enumerate(bids):
+            for i in range(M):
                 v = float(values[i])
-                u_truth = customer_utility(bid, v, truthful)
+                u_truth = _utility(values, i, v, model)
                 if u_truth < 0.0:
                     violations += 1
                 for dev in grid:
                     dev = float(dev)
                     if dev == v:
                         continue
-                    deviated = list(bids)
-                    deviated[i] = CustomerBid(bid.customer_id, dev)
-                    result = run_auction(deviated, model, q=q, k=k)
-                    if customer_utility(bid, v, result) > u_truth:
+                    deviated = values.copy()
+                    deviated[i] = dev
+                    if _utility(deviated, i, v, model) > u_truth:
                         violations += 1
         assert violations == 0
 
@@ -171,17 +172,14 @@ def test_criterion_6_virtual_surplus_equivalence():
         M, q, gamma, k = 40, 50.0, 1.0, 0.5
         model = ValuationModel.from_market(TAXI_CURVE, q, gamma)
         cost = data_cost(q, k)
-        ids = tuple(f"c{i}" for i in range(M))
         diffs = np.empty(profiles)
         profits = np.empty(profiles)
         surpluses = np.empty(profiles)
         for p in range(profiles):
             values = sample_valuations(M, model, seed=p)
-            bids = [CustomerBid(cid, float(v)) for cid, v in zip(ids, values)]
-            result = run_auction(bids, model, q=q, k=k)
-            winners = result.outcome.allocations == 1
-            virtual_surplus = float(result.virtual_bids[winners].sum()) - cost
-            profits[p] = result.outcome.gross_profit
+            winners, price = posted_price(values, model)
+            virtual_surplus = float(virtual_valuation(values[winners], model).sum()) - cost
+            profits[p] = sale_profit(np.count_nonzero(winners), price, cost)
             surpluses[p] = virtual_surplus
             diffs[p] = profits[p] - virtual_surplus
         se = diffs.std(ddof=1) / np.sqrt(profiles)
@@ -192,11 +190,8 @@ def test_criterion_6_virtual_surplus_equivalence():
 def test_criterion_7_fit_recovery_and_brute_force_agreement():
     with criterion(7, "curve fit recovers exact models and matches grid search"):
         truth = UtilityCurve(a=0.5, b=0.01)
-        points = [
-            ExperimentPoint(q=q, alpha=data_utility(q, truth))
-            for q in (1.0, 10.0, 100.0, 1000.0)
-        ]
-        report = fit_utility(points)
+        sizes = np.array([1.0, 10.0, 100.0, 1000.0])
+        report = least_squares_fit(sizes, data_utility(sizes, truth))
         assert abs(report.curve.a - truth.a) < 1e-9
         assert abs(report.curve.b - truth.b) < 1e-9
 
@@ -205,11 +200,7 @@ def test_criterion_7_fit_recovery_and_brute_force_agreement():
             n = int(rng.integers(3, 6))
             qs = rng.uniform(1.0, 500.0, n)
             alphas = rng.uniform(0.3, 0.7, n)
-            pts = [
-                ExperimentPoint(q=float(q), alpha=float(al))
-                for q, al in zip(qs, alphas)
-            ]
-            fit = fit_utility(pts)
+            fit = least_squares_fit(qs, alphas)
             a_grid = np.linspace(fit.curve.a - 0.05, fit.curve.a + 0.05, 501)
             b_grid = np.linspace(fit.curve.b - 0.02, fit.curve.b + 0.02, 501)
             x = np.log(qs)
@@ -230,16 +221,12 @@ def test_criterion_8_satisfaction_rate_brute_force_oracle():
             n = int(rng.integers(1, 1001))
             y_true = rng.uniform(0.0, 2000.0, n)
             y_pred = y_true + rng.uniform(-400.0, 400.0, n)
-            records = [
-                PredictionRecord(y_true=float(t), y_pred=float(p))
-                for t, p in zip(y_true, y_pred)
-            ]
             for tau in (60.0, 180.0, 300.0):
                 count = 0
                 for t, p in zip(y_true, y_pred):
                     if abs(float(t) - float(p)) < tau:
                         count += 1
-                assert satisfaction_rate(records, tau) == count / n
+                assert hit_rate(y_true, y_pred, tau) == count / n
 
 
 def _single_sign_change(values):

@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from datamarket import (
-    CustomerBid,
     UtilityCurve,
     ValuationModel,
-    customer_utility,
     data_cost,
     grid_argmax,
     inverse_virtual,
     optimal_price,
-    run_auction,
+    posted_price,
+    sale_profit,
     sample_valuations,
     valuation_cdf,
     virtual_valuation,
 )
-from datamarket.auction import posted_price
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
 TAXI_MODEL = ValuationModel.from_market(TAXI_CURVE, 50.0, 1.0)
@@ -112,87 +110,57 @@ class TestOptimalPrice:
             optimal_price(TAXI_CURVE, 50.0, 0.0)
 
 
-def _bids(*values):
-    return [CustomerBid(f"c{i}", v) for i, v in enumerate(values)]
+def utility(values, i, true_value, model):
+    """Customer i's utility in the sale to values: v - price if it wins, else 0."""
+    winners, price = posted_price(values, model)
+    return true_value - price if winners[i] else 0.0
 
 
-class TestRunAuction:
+class TestPostedPrice:
     def test_threshold_rule_on_taxi_market(self):
-        # hand-applied: p* ~ 0.26265; 0.6 clamps to the support but wins
-        result = run_auction(_bids(0.6, 0.3, 0.1), TAXI_MODEL, q=50.0, k=0.5)
-        outcome = result.outcome
-        assert result.threshold_price == pytest.approx(0.262652490871441, rel=1e-12)
-        assert list(outcome.allocations) == [1, 1, 0]
-        assert outcome.payments[0] == result.threshold_price
-        assert outcome.payments[1] == result.threshold_price
-        assert outcome.payments[2] == 0.0
-        assert outcome.gross_profit == pytest.approx(-24.474695018257118, rel=1e-12)
-
-    def test_clamped_bid_keeps_support_virtual_value(self):
-        result = run_auction(_bids(0.6, 0.3, 0.1), TAXI_MODEL, q=50.0, k=0.5)
-        assert result.virtual_bids[0] == pytest.approx(
-            TAXI_MODEL.support_max, rel=1e-15
-        )
+        # hand-applied: p* ~ 0.26265; 0.6 lies above the support but wins
+        winners, price = posted_price(np.array([0.6, 0.3, 0.1]), TAXI_MODEL)
+        assert price == pytest.approx(0.262652490871441, rel=1e-12)
+        assert winners.tolist() == [True, True, False]
+        profit = sale_profit(np.count_nonzero(winners), price, data_cost(50.0, 0.5))
+        assert profit == pytest.approx(-24.474695018257118, rel=1e-12)
 
     def test_all_zero_bids_lose(self):
-        result = run_auction(_bids(0.0, 0.0, 0.0), TAXI_MODEL, q=50.0, k=0.5)
-        assert not result.outcome.allocations.any()
-        assert result.outcome.gross_profit == -data_cost(50.0, 0.5)
+        winners, _ = posted_price(np.zeros(3), TAXI_MODEL)
+        assert not winners.any()
 
     def test_maximal_bids_all_win(self):
-        s = TAXI_MODEL.support_max
-        result = run_auction(_bids(s, s, s, s), TAXI_MODEL, q=50.0, k=0.5)
-        assert result.outcome.allocations.all()
-        assert np.all(result.outcome.payments == result.threshold_price)
+        winners, _ = posted_price(np.full(4, TAXI_MODEL.support_max), TAXI_MODEL)
+        assert winners.all()
 
     def test_tie_at_threshold_wins(self):
-        s = TAXI_MODEL.support_max
-        result = run_auction(_bids(0.5 * s), TAXI_MODEL, q=50.0, k=0.5)
-        assert result.outcome.allocations[0] == 1
+        winners, _ = posted_price(np.array([0.5 * TAXI_MODEL.support_max]), TAXI_MODEL)
+        assert winners.tolist() == [True]
 
     def test_gross_profit_is_payments_minus_cost(self):
         model = ValuationModel(support_max=1.0)
         values = sample_valuations(200, model, seed=21)
-        result = run_auction(
-            [CustomerBid(f"c{i}", float(v)) for i, v in enumerate(values)],
-            model,
-            q=10.0,
-            k=0.25,
+        winners, price = posted_price(values, model)
+        payments = np.where(winners, price, 0.0)
+        cost = data_cost(10.0, 0.25)
+        assert sale_profit(np.count_nonzero(winners), price, cost) == (
+            float(payments.sum()) - cost
         )
-        outcome = result.outcome
-        assert outcome.gross_profit == float(outcome.payments.sum()) - data_cost(
-            10.0, 0.25
-        )
-        assert np.all(outcome.payments[outcome.allocations == 0] == 0.0)
 
-    def test_winner_payments_equal_posted_price_exactly(self):
-        result = run_auction(_bids(0.4, 0.5, 0.02), TAXI_MODEL, q=50.0, k=0.5)
-        price = optimal_price(TAXI_CURVE, 50.0, 1.0)
-        assert result.threshold_price == price
-        winners = result.outcome.allocations == 1
-        assert np.all(result.outcome.payments[winners] == price)
+    def test_price_is_the_optimal_price_exactly(self):
+        _, price = posted_price(np.array([0.4, 0.5, 0.02]), TAXI_MODEL)
+        assert price == optimal_price(TAXI_CURVE, 50.0, 1.0)
 
     def test_bid_partition_around_threshold(self):
         values = sample_valuations(500, TAXI_MODEL, seed=2)
-        bids = [CustomerBid(f"c{i}", float(v)) for i, v in enumerate(values)]
-        result = run_auction(bids, TAXI_MODEL, q=50.0, k=0.5)
-        for bid, won in zip(bids, result.outcome.allocations):
-            if won:
-                assert bid.bid >= result.threshold_price
-            else:
-                assert bid.bid < result.threshold_price
+        winners, price = posted_price(values, TAXI_MODEL)
+        assert np.all(values[winners] >= price)
+        assert np.all(values[~winners] < price)
 
-    def test_repeated_customer_id_rejected(self):
-        with pytest.raises(ValueError, match="customer ids must be unique"):
-            run_auction([CustomerBid("c1", 0.3), CustomerBid("c1", 0.1)], TAXI_MODEL,
-                        q=50.0, k=0.5)
+    def test_no_bids_no_winners(self):
+        winners, _ = posted_price(np.array([]), TAXI_MODEL)
+        assert winners.shape == (0,)
 
-    def test_empty_bids_rejected(self):
-        with pytest.raises(ValueError):
-            run_auction([], TAXI_MODEL, q=50.0, k=0.5)
-
-
-class TestKernelAgreesWithAdapter:
     # bid fractions of the support: ties at s/2, the support's top, bids
     # above the support and zero bids, mixed with arbitrary fractions
     fractions = st.lists(
@@ -204,48 +172,49 @@ class TestKernelAgreesWithAdapter:
         max_size=60,
     )
 
-    @given(
-        support=st.floats(min_value=0.01, max_value=50.0),
-        fracs=fractions,
-        all_zero=st.booleans(),
-    )
-    def test_run_auction_matches_posted_price(self, support, fracs, all_zero):
+    @given(support=st.floats(min_value=0.01, max_value=50.0), fracs=fractions)
+    def test_winners_are_the_bids_whose_virtual_value_clears_zero(self, support, fracs):
         model = ValuationModel(support_max=support)
-        values = np.array([0.0 if all_zero else f * support for f in fracs])
-        result = run_auction(_bids(*values.tolist()), model, q=10.0, k=0.3)
+        values = np.array([f * support for f in fracs])
         winners, price = posted_price(values, model)
-
         # reference: the virtual value of each support-clamped bid clears zero
-        virtual = 2.0 * np.minimum(values, support) - support
+        virtual = virtual_valuation(np.minimum(values, support), model)
         assert np.array_equal(winners, virtual >= 0.0)
-        assert price == 0.5 * support == result.threshold_price
-        assert np.array_equal(result.virtual_bids, virtual)
-        outcome = result.outcome
-        assert np.array_equal(outcome.allocations, winners.astype(np.int8))
-        assert np.array_equal(outcome.payments, np.where(winners, price, 0.0))
-        assert outcome.gross_profit == winners.sum() * price - data_cost(10.0, 0.3)
+        assert price == 0.5 * support
+
+
+class TestPostedPriceRefusesBadBids:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.5,
+                                     -1e-300])
+    def test_bad_bid_is_named(self, bad):
+        with pytest.raises(ValueError,
+                           match=f"^bid: must be non-negative and finite, got {bad}$"):
+            posted_price(np.array([0.3, bad, 0.1]), TAXI_MODEL)
+
+    @given(n=st.integers(1, 40), data=st.data())
+    def test_one_bad_bid_anywhere_is_refused(self, n, data):
+        values = sample_valuations(n, TAXI_MODEL, seed=n)
+        values[data.draw(st.integers(0, n - 1))] = data.draw(st.one_of(
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+            st.floats(max_value=-1e-300, allow_infinity=False)))
+        with pytest.raises(ValueError, match="^bid: must be non-negative and finite"):
+            posted_price(values, TAXI_MODEL)
 
 
 class TestCustomerUtility:
-    result = run_auction(_bids(0.6, 0.3, 0.1), TAXI_MODEL, q=50.0, k=0.5)
-    bids = _bids(0.6, 0.3, 0.1)
+    values = np.array([0.6, 0.3, 0.1])
 
     def test_winner_keeps_surplus(self):
-        assert customer_utility(self.bids[0], 0.6, self.result) == pytest.approx(
+        assert utility(self.values, 0, 0.6, TAXI_MODEL) == pytest.approx(
             0.337347509128559, rel=1e-12
         )
 
     def test_loser_gets_zero(self):
-        assert customer_utility(self.bids[2], 0.1, self.result) == 0.0
+        assert utility(self.values, 2, 0.1, TAXI_MODEL) == 0.0
 
     def test_marginal_winner_breaks_even(self):
-        price = self.result.threshold_price
-        result = run_auction(_bids(price), TAXI_MODEL, q=50.0, k=0.5)
-        assert customer_utility(CustomerBid("c0", price), price, result) == 0.0
-
-    def test_unknown_customer_rejected(self):
-        with pytest.raises(KeyError):
-            customer_utility(CustomerBid("ghost", 0.5), 0.5, self.result)
+        price = optimal_price(TAXI_CURVE, 50.0, 1.0)
+        assert utility(np.array([price]), 0, price, TAXI_MODEL) == 0.0
 
 
 class TestTruthfulness:
@@ -261,17 +230,7 @@ class TestTruthfulness:
         model = ValuationModel(support_max=support)
         v = value_frac * support
         rival = rival_frac * support
-        truthful = run_auction(
-            [CustomerBid("me", v), CustomerBid("rival", rival)], model, q=1.0, k=0.01
-        )
-        deviated = run_auction(
-            [CustomerBid("me", deviation_frac * support), CustomerBid("rival", rival)],
-            model,
-            q=1.0,
-            k=0.01,
-        )
-        me = CustomerBid("me", v)
-        u_truth = customer_utility(me, v, truthful)
-        u_dev = customer_utility(me, v, deviated)
+        u_truth = utility(np.array([v, rival]), 0, v, model)
+        u_dev = utility(np.array([deviation_frac * support, rival]), 0, v, model)
         assert u_truth >= u_dev
         assert u_truth >= 0.0

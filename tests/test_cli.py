@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 
 import datamarket
-from datamarket import (
-    CustomerBid,
-    ExperimentPoint,
-    PredictionRecord,
-    cli,
-    csvio,
-    taxi_scenario_path,
-)
+from datamarket import cli, csvio, taxi_scenario_path
 from datamarket.cli import cli_main
 
 SCENARIO = """M = 300
@@ -103,6 +96,13 @@ class TestMetric:
         assert float(report["satisfaction_rate"]) == pytest.approx(2 / 3, abs=1e-6)
         assert report["n_records"] == "3"
 
+    @pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
+    def test_bad_tau_names_its_flag_before_the_file_is_read(self, tmp_path, tau, capsys):
+        missing = tmp_path / "missing.csv"
+        assert cli_main(["metric", "--predictions", str(missing), "--tau", tau]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --tau: must be positive and finite, got {float(tau)}\n")
+
 
 class TestAuction:
     def test_allocation_table_and_summary(self, tmp_path, scenario_file, capsys):
@@ -140,7 +140,7 @@ class TestAuction:
 
 class TestColumnPath:
     """auction, fit and metric run the array cores on the columns the readers
-    return: a valid file builds no per-row record."""
+    return: a valid file is not read again row by row."""
 
     FILES = {  # a blank line and a quoted field spanning lines in each
         "bids.csv": ('customer_id,bid\nalice,0.6\n\n"bob\nby",0.3\ncarol,0.1\n',
@@ -152,16 +152,16 @@ class TestColumnPath:
     }
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        """Names of the records constructed while the test runs."""
-        names = []
-        for record in (CustomerBid, ExperimentPoint, PredictionRecord):
-            def counting(self, check=record.__post_init__):
-                names.append(type(self).__name__)
-                check(self)
+    def row_reads(self, monkeypatch):
+        """The files the row reader reads while the test runs."""
+        paths = []
 
-            monkeypatch.setattr(record, "__post_init__", counting)
-        return names
+        def counting(path, *args, read=csvio._read_records):
+            paths.append(Path(path).name)
+            return read(path, *args)
+
+        monkeypatch.setattr(csvio, "_read_records", counting)
+        return paths
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -169,27 +169,28 @@ class TestColumnPath:
             (tmp_path / name).write_text(text, encoding="utf-8")
         return tmp_path
 
-    def test_valid_files_build_no_records(self, files, scenario_file, built, capsys):
+    def test_valid_files_are_not_read_row_by_row(self, files, scenario_file, row_reads,
+                                                 capsys):
         for argv in (["auction", "--bids", "bids.csv", "--config", scenario_file],
                      ["fit", "--points", "points.csv"],
                      ["metric", "--predictions", "preds.csv", "--tau", "60"]):
             argv = [str(files / arg) if arg.endswith(".csv") else arg for arg in argv]
             assert cli_main(argv) == 0, capsys.readouterr().err
-        assert built == []
+        assert row_reads == []
         assert '"bob\nby",0.3,1,' in capsys.readouterr().out
 
-    def test_reader_length_is_the_row_count(self, files, built):
+    def test_reader_length_is_the_row_count(self, files, row_reads):
         for name, (_, reader) in self.FILES.items():
             assert len(reader(files / name)) == 3
-        assert built == []
+        assert row_reads == []
 
-    def test_a_refused_file_is_read_again_as_records(self, files, built):
+    def test_a_refused_file_is_read_again_row_by_row(self, files, row_reads):
         # the counting hook sees the row path, so the tests above can fail
         path = files / "bids.csv"
         path.write_text("customer_id,bid\nalice,0.6\nbob,-1\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"bids\.csv:3: bid: must be non-negative"):
             csvio.read_bids(path)
-        assert built == ["CustomerBid", "CustomerBid"]
+        assert row_reads == ["bids.csv"]
 
 
 class TestOptimize:
@@ -248,6 +249,16 @@ class TestSimulate:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("steps, err", [
+        ("1", "error: --steps: need at least 2 grid points, got 1\n"),
+        ("2", ""),
+    ])
+    def test_fewer_than_two_steps_names_its_flag(self, scenario_file, steps, err, capsys):
+        argv = ["sweep", "--config", scenario_file, "--param", "q", "--lo", "1",
+                "--hi", "100", "--steps", steps, "--trials", "2"]
+        assert cli_main(argv) == (1 if err else 0)
+        assert capsys.readouterr().err == err
+
     def test_csv_written(self, tmp_path, scenario_file):
         out = tmp_path / "sweep.csv"
         code = cli_main(
@@ -538,8 +549,7 @@ class TestModuleEntryPoint:
 class TestBenchmarkBindings:
     """The benchmark traces layers by rebinding module attributes, and skips a
     binding that no longer exists; these tests keep every binding it names but
-    the record adapters' ones in GONE: simulate stopped running the auction
-    adapter, and the CLI runs the array cores on the columns it reads."""
+    the ones in GONE, of the record adapters the package no longer has."""
 
     GONE = {("datamarket.simulate", "run_auction"), ("datamarket.cli", "run_auction"),
             ("datamarket.cli", "fit_utility"), ("datamarket.cli", "satisfaction_rate")}

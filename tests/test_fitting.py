@@ -5,131 +5,124 @@ import pytest
 from hypothesis import given, strategies as st
 
 from datamarket import (
-    ExperimentPoint,
-    PredictionRecord,
     UtilityCurve,
     data_utility,
     evaluate_fit,
-    fit_utility,
-    satisfaction_rate,
+    hit_rate,
+    least_squares_fit,
 )
 
+NAN, INF = float("nan"), float("inf")
 
-def records_with_errors(*errors):
-    return [PredictionRecord(y_true=100.0, y_pred=100.0 + e) for e in errors]
+
+def with_errors(*errors):
+    """Predictions (y_true, y_pred) of 100 off by each error."""
+    return np.full(len(errors), 100.0), 100.0 + np.array(errors, dtype=float)
 
 
 def exact_points(curve, sizes):
-    return [ExperimentPoint(q=q, alpha=data_utility(q, curve)) for q in sizes]
+    """Data sizes and the performances the curve gives them."""
+    q = np.array(sizes)
+    return q, data_utility(q, curve)
 
 
-class TestTypes:
-    def test_prediction_record_requires_finite(self):
-        with pytest.raises(ValueError):
-            PredictionRecord(y_true=float("nan"), y_pred=0.0)
-
-    def test_experiment_point_invariants(self):
-        with pytest.raises(ValueError):
-            ExperimentPoint(q=0.0, alpha=0.5)
-        with pytest.raises(ValueError):
-            ExperimentPoint(q=1.0, alpha=1.1)
-        with pytest.raises(ValueError):
-            ExperimentPoint(q=1.0, alpha=-0.1)
-        for alpha in (0.0, 1.0):  # both ends of [0, 1] are performances
-            assert ExperimentPoint(q=1.0, alpha=alpha).alpha == alpha
-
-
-class TestSatisfactionRate:
+class TestHitRate:
     def test_direct_count(self):
-        assert satisfaction_rate(records_with_errors(30.0, 250.0, 5.0), 60.0) == (
-            pytest.approx(2.0 / 3.0)
-        )
+        assert hit_rate(*with_errors(30.0, 250.0, 5.0), 60.0) == pytest.approx(2.0 / 3.0)
 
     def test_everything_under_large_tolerance(self):
-        assert satisfaction_rate(records_with_errors(30.0, 250.0, 5.0), 300.0) == 1.0
+        assert hit_rate(*with_errors(30.0, 250.0, 5.0), 300.0) == 1.0
 
     def test_error_equal_to_tolerance_is_excluded(self):
-        assert satisfaction_rate(records_with_errors(60.0), 60.0) == 0.0
-        assert satisfaction_rate(records_with_errors(-60.0), 60.0) == 0.0
+        assert hit_rate(*with_errors(60.0), 60.0) == 0.0
+        assert hit_rate(*with_errors(-60.0), 60.0) == 0.0
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            satisfaction_rate([], 60.0)
+            hit_rate(np.array([]), np.array([]), 60.0)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_nonpositive_tolerance_rejected(self, tau):
         with pytest.raises(ValueError):
-            satisfaction_rate(records_with_errors(1.0), tau)
+            hit_rate(*with_errors(1.0), tau)
 
     @given(st.lists(st.floats(min_value=-500, max_value=500), min_size=1, max_size=60))
     def test_monotone_in_tolerance_and_bounded(self, errors):
-        records = records_with_errors(*errors)
-        rates = [satisfaction_rate(records, tau) for tau in (10.0, 60.0, 180.0, 300.0)]
+        pairs = with_errors(*errors)
+        rates = [hit_rate(*pairs, tau) for tau in (10.0, 60.0, 180.0, 300.0)]
         assert all(0.0 <= r <= 1.0 for r in rates)
         assert all(a <= b for a, b in zip(rates, rates[1:]))
         above_max = max(abs(e) for e in errors) + 1.0
-        assert satisfaction_rate(records, above_max) == 1.0
+        assert hit_rate(*pairs, above_max) == 1.0
 
 
-class TestFitUtility:
+class TestHitRateRefusesBadPairs:
+    @pytest.mark.parametrize("pair", [(NAN, 1.0), (1.0, NAN), (INF, 1.0), (1.0, -INF),
+                                      (-INF, -INF)])
+    def test_non_finite_pair_is_named(self, pair):
+        y_true, y_pred = np.array([1.0, pair[0], 2.0]), np.array([1.0, pair[1], 2.0])
+        message = f"^prediction values must be finite, got \\({pair[0]}, {pair[1]}\\)$"
+        with pytest.raises(ValueError, match=message):
+            hit_rate(y_true, y_pred, 0.5)
+
+    @pytest.mark.parametrize("y_true, y_pred", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0])])
+    def test_unequal_lengths_refused(self, y_true, y_pred):
+        with pytest.raises(ValueError, match="^y_true and y_pred must have equal lengths"):
+            hit_rate(y_true, y_pred, 0.5)
+
+    @given(n=st.integers(1, 40), data=st.data())
+    def test_one_bad_value_anywhere_is_refused(self, n, data):
+        pairs = np.arange(2.0 * n).reshape(2, n)
+        pairs[data.draw(st.integers(0, 1)), data.draw(st.integers(0, n - 1))] = (
+            data.draw(st.sampled_from([NAN, INF, -INF])))
+        with pytest.raises(ValueError, match="^prediction values must be finite"):
+            hit_rate(*pairs, 0.5)
+
+
+class TestLeastSquaresFit:
     def test_recovers_exact_model(self):
         truth = UtilityCurve(a=0.5, b=0.01)
-        report = fit_utility(exact_points(truth, (1.0, 10.0, 100.0, 1000.0)))
+        report = least_squares_fit(*exact_points(truth, (1.0, 10.0, 100.0, 1000.0)))
         assert report.curve.a == pytest.approx(0.5, abs=1e-9)
         assert report.curve.b == pytest.approx(0.01, abs=1e-9)
         assert report.rmse < 1e-12
         assert report.n_points == 4
 
     def test_two_points_determine_the_line(self):
-        points = [
-            ExperimentPoint(q=1.0, alpha=0.4944),
-            ExperimentPoint(q=math.e, alpha=0.5023),
-        ]
-        report = fit_utility(points)
+        report = least_squares_fit(np.array([1.0, math.e]), np.array([0.4944, 0.5023]))
         assert report.curve.a == pytest.approx(0.4944, abs=1e-12)
         assert report.curve.b == pytest.approx(0.0079, abs=1e-12)
 
     def test_symmetric_noise_cancels_at_mirrored_positions(self):
         truth = UtilityCurve(a=0.5, b=0.05)
         eps = 0.01
-        points = []
-        for q in (math.exp(-1.0), math.exp(1.0)):
-            alpha = data_utility(q, truth)
-            points.append(ExperimentPoint(q=q, alpha=alpha + eps))
-            points.append(ExperimentPoint(q=q, alpha=alpha - eps))
-        report = fit_utility(points)
+        q, alpha = exact_points(truth, (math.exp(-1.0), math.exp(1.0)))
+        report = least_squares_fit(np.repeat(q, 2), np.repeat(alpha, 2) + [eps, -eps] * 2)
         assert report.curve.a == pytest.approx(truth.a, abs=1e-12)
         assert report.curve.b == pytest.approx(truth.b, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:fitted slope")
     def test_order_invariant(self):
         rng = np.random.default_rng(12)
-        points = [
-            ExperimentPoint(q=float(q), alpha=float(a))
-            for q, a in zip(rng.uniform(1, 500, 20), rng.uniform(0.3, 0.9, 20))
-        ]
-        forward = fit_utility(points)
-        shuffled = list(points)
-        rng.shuffle(shuffled)
-        backward = fit_utility(shuffled)
+        q, alpha = rng.uniform(1, 500, 20), rng.uniform(0.3, 0.9, 20)
+        forward = least_squares_fit(q, alpha)
+        order = rng.permutation(20)
+        backward = least_squares_fit(q[order], alpha[order])
         assert backward.curve.a == pytest.approx(forward.curve.a, rel=1e-12)
         assert backward.curve.b == pytest.approx(forward.curve.b, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:fitted slope")
     def test_beats_random_probe_candidates(self):
         rng = np.random.default_rng(8)
-        points = [
-            ExperimentPoint(q=float(q), alpha=float(a))
-            for q, a in zip(rng.uniform(1, 200, 15), rng.uniform(0.2, 0.8, 15))
-        ]
-        report = fit_utility(points)
-        best = evaluate_fit(report.curve, points)
+        points = rng.uniform(1, 200, 15), rng.uniform(0.2, 0.8, 15)
+        report = least_squares_fit(*points)
+        best = evaluate_fit(report.curve, *points)
         for _ in range(300):
             candidate = UtilityCurve(
                 a=report.curve.a + float(rng.normal(scale=0.1)),
                 b=report.curve.b + float(rng.normal(scale=0.02)),
             )
-            assert best <= evaluate_fit(candidate, points) + 1e-15
+            assert best <= evaluate_fit(candidate, *points) + 1e-15
 
     @pytest.mark.filterwarnings("ignore:fitted slope")
     def test_matches_brute_force_grid_on_small_instances(self):
@@ -138,11 +131,7 @@ class TestFitUtility:
             n = int(rng.integers(3, 6))
             qs = np.sort(rng.uniform(1.0, 300.0, n))
             alphas = rng.uniform(0.3, 0.7, n)
-            points = [
-                ExperimentPoint(q=float(q), alpha=float(al))
-                for q, al in zip(qs, alphas)
-            ]
-            report = fit_utility(points)
+            report = least_squares_fit(qs, alphas)
             a_grid = np.linspace(report.curve.a - 0.05, report.curve.a + 0.05, 401)
             b_grid = np.linspace(report.curve.b - 0.02, report.curve.b + 0.02, 401)
             x = np.log(qs)
@@ -158,58 +147,87 @@ class TestFitUtility:
 
     def test_degenerate_designs_rejected(self):
         with pytest.raises(ValueError):
-            fit_utility([ExperimentPoint(q=10.0, alpha=0.5)])
+            least_squares_fit(np.array([10.0]), np.array([0.5]))
         with pytest.raises(ValueError):
-            fit_utility(
-                [ExperimentPoint(q=10.0, alpha=0.4), ExperimentPoint(q=10.0, alpha=0.6)]
-            )
+            least_squares_fit(np.array([10.0, 10.0]), np.array([0.4, 0.6]))
 
     def test_nonpositive_slope_flagged_not_rejected(self):
-        points = [
-            ExperimentPoint(q=1.0, alpha=0.8),
-            ExperimentPoint(q=10.0, alpha=0.6),
-            ExperimentPoint(q=100.0, alpha=0.4),
-        ]
         with pytest.warns(UserWarning, match="not positive"):
-            report = fit_utility(points)
+            report = least_squares_fit(np.array([1.0, 10.0, 100.0]),
+                                       np.array([0.8, 0.6, 0.4]))
         assert report.curve.b < 0
 
     def test_flat_slope_flagged(self):
-        points = [ExperimentPoint(q=q, alpha=0.5) for q in (1.0, 10.0, 100.0)]
         with pytest.warns(UserWarning, match="not positive"):
-            report = fit_utility(points)
+            report = least_squares_fit(np.array([1.0, 10.0, 100.0]), np.full(3, 0.5))
         assert report.curve.b == 0.0
 
 
 class TestEvaluateFit:
     def test_zero_residual_on_exact_model(self):
         truth = UtilityCurve(a=0.45, b=0.02)
-        assert evaluate_fit(truth, exact_points(truth, (2.0, 20.0, 200.0))) == 0.0
+        assert evaluate_fit(truth, *exact_points(truth, (2.0, 20.0, 200.0))) == 0.0
 
     def test_uniform_offset_gives_offset_rmse(self):
         truth = UtilityCurve(a=0.45, b=0.02)
         delta = 0.03
-        points = [
-            ExperimentPoint(q=q, alpha=data_utility(q, truth) + delta)
-            for q in (2.0, 20.0, 200.0)
-        ]
-        assert evaluate_fit(truth, points) == pytest.approx(delta, rel=1e-12)
+        q, alpha = exact_points(truth, (2.0, 20.0, 200.0))
+        assert evaluate_fit(truth, q, alpha + delta) == pytest.approx(delta, rel=1e-12)
 
     def test_fitted_curve_beats_generator_on_noisy_points(self):
         rng = np.random.default_rng(31)
         truth = UtilityCurve(a=0.5, b=0.02)
-        points = [
-            ExperimentPoint(
-                q=float(q),
-                alpha=float(
-                    np.clip(data_utility(float(q), truth) + rng.normal(scale=0.01), 0, 1)
-                ),
-            )
-            for q in rng.uniform(1, 400, 25)
-        ]
-        report = fit_utility(points)
-        assert report.rmse <= evaluate_fit(truth, points) + 1e-15
+        q = rng.uniform(1, 400, 25)
+        alpha = np.clip(data_utility(q, truth) + rng.normal(scale=0.01, size=25), 0, 1)
+        report = least_squares_fit(q, alpha)
+        assert report.rmse <= evaluate_fit(truth, q, alpha) + 1e-15
 
     def test_empty_points_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_fit(UtilityCurve(a=0.5, b=0.01), [])
+        with pytest.raises(ValueError, match="^points must be non-empty"):
+            evaluate_fit(UtilityCurve(a=0.5, b=0.01), np.array([]), np.array([]))
+
+
+FIT_CURVE = UtilityCurve(a=0.5, b=0.01)
+# one core per case: each refuses bad points with the same message
+POINT_CORES = {
+    "least_squares_fit": lambda q, alpha: least_squares_fit(q, alpha).rmse,
+    "evaluate_fit": lambda q, alpha: evaluate_fit(FIT_CURVE, q, alpha),
+}
+BAD = {  # per column: its field's name, and the values it refuses
+    "q": ("data size", st.floats(max_value=0.0) | st.sampled_from([NAN, INF])),
+    "alpha": ("performance", st.floats(max_value=0.0, exclude_max=True)
+              | st.floats(min_value=1.0, exclude_min=True) | st.just(NAN)),
+}
+
+
+@pytest.mark.parametrize("core", POINT_CORES.values(), ids=POINT_CORES)
+class TestPointCoresRefuseBadPoints:
+    @pytest.mark.parametrize("q", [0.0, -1.0, -5e-324, NAN, INF, -INF])
+    def test_bad_data_size_is_named(self, core, q):
+        with pytest.raises(ValueError, match="^data size: must be positive and finite"):
+            core(np.array([1.0, q, 10.0]), np.array([0.5, 0.5, 0.6]))
+
+    @pytest.mark.parametrize("alpha", [-0.001, 1.001, NAN, INF, -INF])
+    def test_performance_outside_the_unit_interval_is_named(self, core, alpha):
+        message = f"^performance must lie in \\[0, 1\\], got {alpha}$"
+        with pytest.raises(ValueError, match=message):
+            core(np.array([1.0, 2.0, 10.0]), np.array([0.5, alpha, 0.6]))
+
+    @pytest.mark.parametrize("q, alpha", [([1.0, 2.0], [0.5]), ([1.0], [0.5, 0.6])])
+    def test_unequal_lengths_refused(self, core, q, alpha):
+        with pytest.raises(ValueError, match="^q and alpha must have equal lengths"):
+            core(q, alpha)
+
+    def test_values_on_the_bounds_are_accepted(self, core):
+        # the smallest positive double, and performances exactly 0 and 1
+        q, alpha = np.array([5e-324, 1.0, 10.0]), np.array([0.0, 1.0, 1.0])
+        assert math.isfinite(core(q, alpha))
+
+    @given(n=st.integers(2, 30), data=st.data())
+    def test_one_bad_value_anywhere_is_refused(self, core, n, data):
+        columns = {"q": np.geomspace(1.0, 100.0, n), "alpha": np.linspace(0.4, 0.6, n)}
+        column = data.draw(st.sampled_from(sorted(BAD)))
+        field, bad = BAD[column]
+        columns[column][data.draw(st.integers(0, n - 1))] = data.draw(bad)
+        with pytest.raises(ValueError, match=f"^{field}"):
+            core(**columns)

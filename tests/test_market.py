@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from datamarket import (
-    AuctionOutcome,
-    CustomerBid,
     MarketParams,
     UtilityCurve,
     ValuationModel,
@@ -19,6 +17,7 @@ from datamarket import (
     valuation_cdf,
     virtual_valuation,
 )
+from datamarket.market import require_positive
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
 
@@ -69,18 +68,10 @@ class TestTypes:
         with pytest.raises(ValueError, match="^performance at data size 50.0: must be pos"):
             ValuationModel.from_market(UtilityCurve(a=-0.1, b=0.0079), 50.0, 1.0)
 
-    def test_outcome_arrays_must_align_with_ids(self):
-        with pytest.raises(ValueError, match="must align"):
-            AuctionOutcome(customer_ids=("a", "b"), allocations=np.zeros(2, np.int8),
-                           payments=np.zeros(3), gross_profit=0.0)
-
-    def test_bid_rejects_negative(self):
-        with pytest.raises(ValueError):
-            CustomerBid("c1", -0.1)
-
-    def test_bid_rejects_text(self):
+    def test_require_positive_refuses_text(self):
+        # numpy would parse "0.3"; the check refuses a str without it
         with pytest.raises(TypeError):
-            CustomerBid("c1", "0.3")
+            require_positive("bid", "0.3", True)
 
 
 class TestDataCost:
