@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import UtilityCurve, data_utility, require_positive
+from .market import UtilityCurve, require_positive
 
 __all__ = [
     "FitReport",
@@ -98,7 +98,7 @@ def least_squares_fit(q: np.ndarray, alpha: np.ndarray) -> FitReport:
     if b <= 0:
         warnings.warn("fitted slope is not positive; profit optimization "
                       "will refuse this curve", stacklevel=2)
-    return FitReport(curve=curve, rmse=evaluate_fit(curve, q, alpha), n_points=len(q))
+    return FitReport(curve=curve, rmse=_rmse(curve, x, alpha), n_points=len(q))
 
 
 def evaluate_fit(curve: UtilityCurve, q: np.ndarray, alpha: np.ndarray) -> float:
@@ -107,4 +107,10 @@ def evaluate_fit(curve: UtilityCurve, q: np.ndarray, alpha: np.ndarray) -> float
     q, alpha = _checked_points(q, alpha)
     if len(q) == 0:
         raise ValueError("points must be non-empty")
-    return float(np.sqrt(np.mean(np.square(alpha - data_utility(q, curve)))))
+    return _rmse(curve, np.log(q), alpha)
+
+
+def _rmse(curve: UtilityCurve, x: np.ndarray, alpha: np.ndarray) -> float:
+    """Root-mean-square residual of alpha against the curve's a + b*x at
+    x = ln(q), on points already checked: data_utility's value, unchecked."""
+    return float(np.sqrt(np.mean(np.square(alpha - (curve.a + curve.b * x)))))

@@ -8,6 +8,7 @@ to M customers whose willingness to pay is proportional to that performance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,10 +144,118 @@ def valuation_cdf(v, model: ValuationModel):
     return _unwrap(np.clip(np.asarray(v, dtype=float) / model.support_max, 0.0, 1.0))
 
 
-def sample_valuations(M: int, model: ValuationModel, seed: int) -> np.ndarray:
-    """Draw M i.i.d. customer valuations; deterministic for a fixed seed."""
+def sample_valuations(M: int, model: ValuationModel,
+                      seed: int | np.random.Generator) -> np.ndarray:
+    """Draw M i.i.d. customer valuations; deterministic for a fixed seed.
+
+    A Generator given as seed is drawn from as it is, so it advances.
+    """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     rng = np.random.default_rng(seed)
     # preference degrees uniform on [0, 1], scaled by the support
     return model.support_max * rng.random(int(M))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# seeding step (O'Neill 2014), over uint32 arrays of consecutive seeds
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_POOL = 4  # SeedSequence's pool size, in 32-bit words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the hash constants of mix_entropy
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # and of generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# the most seeds hashed at once, so memory does not grow with a run; a power
+# of two, as it must divide 2**32
+_BLOCK = 1024
+# hashing a block costs about 0.1 ms whatever its size, then about 2 us a
+# seed; default_rng costs 10-17 us a seed, so below this many seeds it is cheaper
+_HASH_MIN = 16
+
+
+def _hash_steps(init: int, mult: int, n: int) -> np.ndarray:
+    """The constants of n successive hashmix steps, as (xor, multiply) pairs
+    of uint32 columns: step i xors with h_i and multiplies by h_(i+1)."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array([h[:-1], h[1:]], dtype=np.uint32)[..., None]
+
+
+def _hashmix(values, steps) -> np.ndarray:
+    """Row i of values hashed by step i of steps."""
+    xor, mult = steps
+    values = (values ^ xor) * mult
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x, y) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> np.uint32(16))
+
+
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _pcg64_states(first_seed: int, n: int) -> list[tuple[int, int]]:
+    """(state, inc) of np.random.default_rng(s).bit_generator for each seed
+    s = first_seed + t, t < n; the seeds must share their bits above 32.
+
+    The seed's 32-bit words, lowest first, are SeedSequence's entropy.  The
+    lowest varies along the block; the rest are the same for every seed, and a
+    seed below 2**128 fills the rest of the pool with zero words, which hash as
+    missing words do.  Words past the pool are mixed into every pool word.
+    """
+    high, words = first_seed >> 32, []
+    while high:
+        words.append(high & _MASK32)
+        high >>= 32
+    extra = words[_POOL - 1:]
+    pool = np.zeros((_POOL, n), dtype=np.uint32)
+    pool[0] = np.uint32(first_seed & _MASK32) + np.arange(n, dtype=np.uint32)
+    for i, word in enumerate(words[:_POOL - 1], 1):
+        pool[i] = word
+    steps = _hash_steps(_INIT_A, _MULT_A, _POOL * (_POOL + len(extra)))
+    pool = _hashmix(pool, steps[:, :_POOL])
+    for src in range(_POOL):  # every word into each other word, in order
+        dst = [i for i in range(_POOL) if i != src]
+        at = _POOL + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps[:, at:at + 3]))
+    for i, word in enumerate(extra, _POOL):
+        at = _POOL * i
+        pool = _mix(pool, _hashmix(np.uint32(word), steps[:, at:at + _POOL]))
+    # generate_state(4, uint64): eight words from the pool, paired low first
+    out = _hashmix(np.concatenate((pool, pool)), _STATE_STEPS).astype(np.uint64)
+    seeds = out[0::2] | (out[1::2] << np.uint64(32))
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds.tolist()):
+        # pcg64_set_seed: inc = 2*initseq + 1, then two LCG steps from 0
+        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
+        state = ((((state_hi << 64) | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _generators(first_seed: int, n: int):
+    """Yield n Generators, the t-th in the state np.random.default_rng(first_seed + t)
+    starts in.
+
+    The seeds are hashed in blocks that end at multiples of _BLOCK, so no
+    block straddles a multiple of 2**32.  Each block reuses one
+    Generator: a caller must be done drawing from one before taking the next.
+    """
+    seed = operator.index(first_seed)
+    end = seed + n
+    for start in range(seed - seed % _BLOCK, end, _BLOCK):
+        lo, hi = max(start, seed), min(start + _BLOCK, end)
+        if hi - lo < _HASH_MIN:
+            for s in range(lo, hi):
+                yield np.random.default_rng(s)
+            continue
+        rng = np.random.default_rng(lo)
+        bit_generator = rng.bit_generator
+        full = bit_generator.state
+        for state, inc in _pcg64_states(lo, hi - lo):
+            full["state"] = {"state": state, "inc": inc}
+            bit_generator.state = full
+            yield rng

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .auction import optimal_price, sale_profit
-from .market import ValuationModel, data_cost, sample_valuations, valuation_cdf
+from .market import (ValuationModel, _generators, data_cost, sample_valuations,
+                     valuation_cdf)
 from .optimize import expected_profit, grid, optimal_data_size
 from .scenario import ScenarioConfig
 
@@ -31,7 +32,7 @@ SWEEP_PARAMETERS = ("price", "q", "k", "gamma")
 # command, a sweep of 100 rows of 100 trials of M = 10**4, draws exactly 10**8.
 MAX_DRAWS = 10**8
 # The most trials one run may make: trials per row, times rows.  A trial costs
-# about 31 us whatever M is, so 10**6 trials take about 30 s; the largest
+# about 8-10 us whatever M is, so 10**6 trials take about 10 s; the largest
 # benchmark command makes 10**4.
 MAX_TRIALS = 10**6
 
@@ -74,18 +75,18 @@ class SweepResultRow:
     empirical_std: float
 
 
-def _monte_carlo(params, curve, q, price, first_seed, trials):
+def _monte_carlo(params, curve, q, price, rngs, trials):
     """Mean and sample std of the profits n_winners*price - k*q of q-unit sales.
 
-    Trial t draws M valuations on [0, gamma*r(q)] with seed first_seed + t;
-    every customer valued at or above the price buys.  The std of one trial
-    is 0; an overflow is a ValueError.
+    Trial t draws M valuations on [0, gamma*r(q)] from the t-th of the next
+    trials generators of rngs; every customer valued at or above the price
+    buys.  The std of one trial is 0; an overflow is a ValueError.
     """
     model = ValuationModel.from_market(curve, q, params.gamma)
     cost = data_cost(q, params.k)
     profits = np.empty(trials)
-    for t in range(trials):
-        values = sample_valuations(params.M, model, seed=first_seed + t)
+    for t, rng in zip(range(trials), rngs):  # takes no generator past the last
+        values = sample_valuations(params.M, model, seed=rng)
         profits[t] = sale_profit(np.count_nonzero(values >= price), price, cost)
     with np.errstate(over="ignore"):  # the check below reports an overflow
         mean = float(profits.mean())
@@ -128,7 +129,8 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
     params, curve, q = config.market, config.curve, config.q
     price = optimal_price(curve, q, params.gamma)
     analytic = expected_profit(q, params, curve)
-    mean, std = _monte_carlo(params, curve, q, price, config.seed, config.trials)
+    rngs = _generators(config.seed, config.trials)
+    mean, std = _monte_carlo(params, curve, q, price, rngs, config.trials)
     se = std / math.sqrt(config.trials)
     return SimulationReport(
         M=params.M,
@@ -188,7 +190,8 @@ def sweep(
         raise ScenarioError(exc) from None
 
     rows: list[SweepResultRow] = []
-    for r, value in enumerate(values):
+    rngs = _generators(config.seed, steps * config.trials)  # row by row, in order
+    for value in values:
         market = params
         if parameter == "price":
             price = value
@@ -202,10 +205,11 @@ def sweep(
             report = optimal_data_size(market, curve)
             if report.rejected:
                 rows.append(SweepResultRow(value, 0.0, 0.0, 0.0, 0.0, 0.0))
+                for _ in zip(range(config.trials), rngs):  # skip the row's seeds
+                    pass
                 continue
             q, price = report.q_star, report.price_at_q_star
             columns = (report.expected_profit_at_q_star, price, q)
-        seed = config.seed + r * config.trials
-        mean, std = _monte_carlo(market, curve, q, price, seed, config.trials)
+        mean, std = _monte_carlo(market, curve, q, price, rngs, config.trials)
         rows.append(SweepResultRow(value, *columns, mean, std))
     return rows

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from datamarket import (
@@ -17,7 +17,8 @@ from datamarket import (
     valuation_cdf,
     virtual_valuation,
 )
-from datamarket.market import require_positive
+from datamarket.market import (_BLOCK, _HASH_MIN, _generators, _pcg64_states,
+                               require_positive)
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
 
@@ -257,3 +258,45 @@ class TestSampleValuations:
         values = sample_valuations(1_000_000, model, seed=3)
         result = stats.kstest(values, lambda v: valuation_cdf(v, model))
         assert result.statistic < 0.01
+
+
+def default_state(seed):
+    return np.random.default_rng(seed).bit_generator.state
+
+
+# the seeds on either side of each word a seed's entropy gains
+WORD_BOUNDARIES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96,
+                   2**128 - 1, 2**128, 2**160 - 1, 2**160, 2**200]
+
+
+class TestSeedingKernel:
+    """Trial generators start where np.random.default_rng(seed) starts."""
+
+    @pytest.mark.parametrize("seed", WORD_BOUNDARIES)
+    def test_state_equals_default_rng(self, seed):
+        state = default_state(seed)
+        assert _pcg64_states(seed, 1) == [(state["state"]["state"], state["state"]["inc"])]
+        assert [rng.bit_generator.state for rng in _generators(seed, 1)] == [state]
+
+    @pytest.mark.parametrize("n", [1, 3 * _HASH_MIN, _BLOCK + 3 * _HASH_MIN])
+    @pytest.mark.parametrize("boundary", WORD_BOUNDARIES[1:])
+    def test_runs_straddling_a_boundary(self, boundary, n):
+        first = max(0, boundary - n // 2)
+        states = [rng.bit_generator.state for rng in _generators(first, n)]
+        assert states == [default_state(s) for s in range(first, first + n)]
+
+    @settings(deadline=None)
+    @given(first_seed=st.integers(0, 2**140), n=st.integers(1, 3 * _HASH_MIN))
+    def test_generators_match_default_rng(self, first_seed, n):
+        states = [rng.bit_generator.state for rng in _generators(first_seed, n)]
+        assert states == [default_state(s) for s in range(first_seed, first_seed + n)]
+
+    @settings(deadline=None)
+    @given(high=st.integers(0, 2**108), low=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 5))
+    def test_hashed_states_match_default_rng(self, high, low, n):
+        # blocks below _HASH_MIN seeds never reach the hash through _generators
+        first = (high << 32) | min(low, 2**32 - n)
+        assert _pcg64_states(first, n) == [
+            (state["state"], state["inc"])
+            for state in (default_state(s)["state"] for s in range(first, first + n))]

@@ -10,8 +10,10 @@ from datamarket import (
     ScenarioError,
     ScenarioConfig,
     check_draws,
+    data_cost,
     expected_profit,
     optimal_price,
+    sale_profit,
     sample_valuations,
     simulate,
     sweep,
@@ -54,6 +56,20 @@ class TestSimulate:
         assert np.mean(profits) == report.empirical_mean
         assert np.std(profits, ddof=1) == report.empirical_std
 
+    def test_trials_replay_across_a_word_boundary(self):
+        # the trial seeds 2**32 - 20 ... 2**32 + 19 are hashed as one block
+        config = small_config(M=50, trials=40, seed=2**32 - 20)
+        report = simulate(config)
+        price = optimal_price(config.curve, config.q, config.gamma)
+        cost = data_cost(config.q, config.k)
+        profits = np.array([
+            sale_profit(np.count_nonzero(
+                sample_valuations(config.M, config.model(), config.seed + t) >= price),
+                price, cost)
+            for t in range(config.trials)])
+        assert profits.mean() == report.empirical_mean
+        assert profits.std(ddof=1) == report.empirical_std
+
     def test_agrees_with_analytic_expectation(self):
         config = small_config(M=2000, trials=60)
         report = simulate(config)
@@ -72,6 +88,12 @@ class TestSimulate:
     def test_one_trial_has_no_spread(self):
         report = simulate(small_config(trials=1))
         assert report.empirical_std == report.std_error == 0.0
+
+    def test_two_trials_have_their_spread(self):
+        config = small_config(trials=2)
+        profits = [simulate(replace(config, trials=1, seed=config.seed + t)).empirical_mean
+                   for t in range(2)]
+        assert simulate(config).empirical_std == np.std(profits, ddof=1) > 0.0
 
     def test_standard_error_scales_with_market_size(self):
         small = simulate(small_config(M=100, trials=50))
@@ -251,21 +273,22 @@ class TestSweepResults:
         assert (tail.empirical_mean, tail.empirical_std) == (0.0, 0.0)
 
     def test_row_seeds_skip_rejected_rows(self, monkeypatch):
-        # row r, trial t draws with seed + r*trials + t; the first two gamma
-        # rows are rejected and draw nothing
+        # row r, trial t draws from the generator default_rng(seed + r*trials + t)
+        # starts as; the first two gamma rows are rejected and draw nothing
         module = importlib.import_module("datamarket.simulate")
         original = module.sample_valuations
-        seeds = []
+        states = []
 
         def recording(M, model, *, seed):
-            seeds.append(seed)
+            states.append(seed.bit_generator.state)
             return original(M, model, seed=seed)
 
         monkeypatch.setattr(module, "sample_valuations", recording)
         config = small_config(M=10, k=1.0, a=0.001, b=0.01, q=None, seed=0, trials=3)
         rows = sweep(config, "gamma", 50.0, 150.0, 5)
         assert [row.optimal_q > 0 for row in rows] == [False, False, True, True, True]
-        assert seeds == list(range(6, 15))
+        assert states == [np.random.default_rng(s).bit_generator.state
+                          for s in range(6, 15)]
 
     def test_gamma_sweep_runs_where_the_base_optimum_overflows(self):
         # M*gamma = 5e309 at the configured gamma; gamma rows re-optimize at

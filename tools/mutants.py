@@ -1,10 +1,11 @@
-"""Comparison-flip mutation testing of src/datamarket, with the standard library only.
+"""Mutation testing of src/datamarket, with the standard library only.
 
 Every comparison operator in src/datamarket/*.py is flipped in turn
-(`<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`), one mutant at a time, in a
-temporary copy of the repository.  Each mutant runs the test files mapped to
-its module with `pytest -x`; a mutant whose tests all pass survives.  The
-survivors and the score (killed / total) are printed.
+(`<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`), and every integer literal is
+nudged (`n` -> `n + 1`), one mutant at a time, in a temporary copy of the
+repository.  Each mutant runs the test files mapped to its module with
+`pytest -x`; a mutant whose tests all pass survives.  The survivors and the
+score (killed / total) are printed.
 
 Usage, from the root of a checkout:
 
@@ -48,12 +49,15 @@ TIMEOUT_S = 600
 
 
 def mutants(path: Path) -> list[tuple[str, int, int, str]]:
-    """(place, byte start, byte end, new) of each operator flip in path, in file order.
+    """(place, byte start, byte end, new) of each operator flip and literal
+    nudge in path, in file order.
 
     place is `line:column: old -> new`.
 
     An operator lies between the operands around it; its place is found in
-    the source bytes between them, past any brackets and comments.
+    the source bytes between them, past any brackets and comments.  A literal
+    is its own node; those inside f-strings are skipped, as Python before 3.12
+    does not place them reliably.
     """
     source = path.read_bytes()
     lines = source.splitlines(keepends=True)
@@ -64,8 +68,20 @@ def mutants(path: Path) -> list[tuple[str, int, int, str]]:
     def offset(lineno: int, col: int) -> int:  # ast columns count UTF-8 bytes
         return starts[lineno - 1] + col
 
+    tree = ast.parse(source)
+    in_fstrings = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                   for inner in ast.walk(node)}
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and type(node.value) is int
+                and id(node) not in in_fstrings):
+            at = offset(node.lineno, node.col_offset)
+            end = offset(node.end_lineno, node.end_col_offset)
+            old = source[at:end].decode("utf-8")
+            new = str(node.value + 1)
+            found.append((f"{node.lineno}:{node.col_offset + 1}: {old} -> {new}",
+                          at, end, new))
+            continue
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
