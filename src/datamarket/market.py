@@ -7,6 +7,7 @@ to M customers whose willingness to pay is proportional to that performance.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -165,21 +166,20 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the hash constants of mix_entropy
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # and of generate_state
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# the most seeds hashed at once, so memory does not grow with a run; a power
-# of two, as it must divide 2**32
+# the most seeds hashed at once, so memory does not grow with a run
 _BLOCK = 1024
-# hashing a block costs about 0.1 ms whatever its size, then about 2 us a
-# seed; default_rng costs 10-17 us a seed, so below this many seeds it is cheaper
-_HASH_MIN = 16
 
 
+@functools.cache
 def _hash_steps(init: int, mult: int, n: int) -> np.ndarray:
     """The constants of n successive hashmix steps, as (xor, multiply) pairs
     of uint32 columns: step i xors with h_i and multiplies by h_(i+1)."""
     h = [init]
     for _ in range(n):
         h.append(h[-1] * mult & _MASK32)
-    return np.array([h[:-1], h[1:]], dtype=np.uint32)[..., None]
+    steps = np.array([h[:-1], h[1:]], dtype=np.uint32)[..., None]
+    steps.flags.writeable = False  # shared by every call
+    return steps
 
 
 def _hashmix(values, steps) -> np.ndarray:
@@ -195,6 +195,8 @@ def _mix(x, y) -> np.ndarray:
 
 
 _STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
+# the pool words each word is mixed into, in order
+_OTHERS = [np.array([i for i in range(_POOL) if i != src]) for src in range(_POOL)]
 
 
 def _pcg64_states(first_seed: int, n: int) -> list[tuple[int, int]]:
@@ -217,8 +219,7 @@ def _pcg64_states(first_seed: int, n: int) -> list[tuple[int, int]]:
         pool[i] = word
     steps = _hash_steps(_INIT_A, _MULT_A, _POOL * (_POOL + len(extra)))
     pool = _hashmix(pool, steps[:, :_POOL])
-    for src in range(_POOL):  # every word into each other word, in order
-        dst = [i for i in range(_POOL) if i != src]
+    for src, dst in enumerate(_OTHERS):  # every word into each other word
         at = _POOL + 3 * src
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps[:, at:at + 3]))
     for i, word in enumerate(extra, _POOL):
@@ -240,22 +241,20 @@ def _generators(first_seed: int, n: int):
     """Yield n Generators, the t-th in the state np.random.default_rng(first_seed + t)
     starts in.
 
-    The seeds are hashed in blocks that end at multiples of _BLOCK, so no
-    block straddles a multiple of 2**32.  Each block reuses one
-    Generator: a caller must be done drawing from one before taking the next.
+    The seeds are hashed in blocks of at most _BLOCK that end at a multiple of
+    2**32, if they reach one, so the seeds of a block share their bits above
+    32.  One Generator is reused for every seed: a caller must be done drawing
+    from one before taking the next.
     """
     seed = operator.index(first_seed)
     end = seed + n
-    for start in range(seed - seed % _BLOCK, end, _BLOCK):
-        lo, hi = max(start, seed), min(start + _BLOCK, end)
-        if hi - lo < _HASH_MIN:
-            for s in range(lo, hi):
-                yield np.random.default_rng(s)
-            continue
-        rng = np.random.default_rng(lo)
-        bit_generator = rng.bit_generator
-        full = bit_generator.state
-        for state, inc in _pcg64_states(lo, hi - lo):
+    rng = np.random.default_rng(seed)  # its state is overwritten for every seed
+    bit_generator = rng.bit_generator
+    full = bit_generator.state
+    while seed < end:
+        block = min(seed + _BLOCK, end, (seed | _MASK32) + 1) - seed
+        for state, inc in _pcg64_states(seed, block):
             full["state"] = {"state": state, "inc": inc}
             bit_generator.state = full
             yield rng
+        seed += block

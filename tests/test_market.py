@@ -17,7 +17,7 @@ from datamarket import (
     valuation_cdf,
     virtual_valuation,
 )
-from datamarket.market import (_BLOCK, _HASH_MIN, _generators, _pcg64_states,
+from datamarket.market import (_BLOCK, _generators, _pcg64_states,
                                require_positive)
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
@@ -278,25 +278,21 @@ class TestSeedingKernel:
         assert _pcg64_states(seed, 1) == [(state["state"]["state"], state["state"]["inc"])]
         assert [rng.bit_generator.state for rng in _generators(seed, 1)] == [state]
 
-    @pytest.mark.parametrize("n", [1, 3 * _HASH_MIN, _BLOCK + 3 * _HASH_MIN])
+    @pytest.mark.parametrize("n", [1, 48, _BLOCK + 48])
     @pytest.mark.parametrize("boundary", WORD_BOUNDARIES[1:])
     def test_runs_straddling_a_boundary(self, boundary, n):
         first = max(0, boundary - n // 2)
         states = [rng.bit_generator.state for rng in _generators(first, n)]
         assert states == [default_state(s) for s in range(first, first + n)]
 
+    @pytest.mark.parametrize("first", [0, 2**64 + 5])
+    def test_runs_past_one_block(self, first):
+        n = 2 * _BLOCK + 48
+        states = [rng.bit_generator.state for rng in _generators(first, n)]
+        assert states == [default_state(s) for s in range(first, first + n)]
+
     @settings(deadline=None)
-    @given(first_seed=st.integers(0, 2**140), n=st.integers(1, 3 * _HASH_MIN))
+    @given(first_seed=st.integers(0, 2**140), n=st.integers(1, 48))
     def test_generators_match_default_rng(self, first_seed, n):
         states = [rng.bit_generator.state for rng in _generators(first_seed, n)]
         assert states == [default_state(s) for s in range(first_seed, first_seed + n)]
-
-    @settings(deadline=None)
-    @given(high=st.integers(0, 2**108), low=st.integers(0, 2**32 - 1),
-           n=st.integers(1, 5))
-    def test_hashed_states_match_default_rng(self, high, low, n):
-        # blocks below _HASH_MIN seeds never reach the hash through _generators
-        first = (high << 32) | min(low, 2**32 - n)
-        assert _pcg64_states(first, n) == [
-            (state["state"], state["inc"])
-            for state in (default_state(s)["state"] for s in range(first, first + n))]

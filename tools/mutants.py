@@ -45,6 +45,8 @@ TESTS = {
     "scenario": ["test_scenario.py", "test_cli.py"],
     "simulate": ["test_simulate.py", "test_acceptance.py"],
 }
+# the unmutated runs' limit; a mutant, which may loop forever, gets ten times
+# its module's unmutated run and half a minute more
 TIMEOUT_S = 600
 
 
@@ -99,8 +101,9 @@ def mutants(path: Path) -> list[tuple[str, int, int, str]]:
     return sorted(found, key=lambda mutant: mutant[1])
 
 
-def run_tests(copy: Path, tests: list[str]) -> bool:
-    """Whether the tests pass in copy (a timeout counts as a failure)."""
+def run_tests(copy: Path, tests: list[str], timeout: float) -> bool:
+    """Whether the tests pass in copy within timeout seconds (a timeout
+    counts as a failure)."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                *(f"tests/{name}" for name in tests)]
     # no bytecode caches: a same-size mutant written within the second of the
@@ -108,7 +111,7 @@ def run_tests(copy: Path, tests: list[str]) -> bool:
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         proc = subprocess.run(command, cwd=copy, env=env, capture_output=True,
-                              timeout=TIMEOUT_S)
+                              timeout=timeout)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0
@@ -130,16 +133,19 @@ def main() -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", ".perfbench", ".hypothesis", "__pycache__", ".pytest_cache"))
+        timeouts = {}
         for module in modules:
-            if not run_tests(copy, TESTS[module]):
+            began = time.perf_counter()
+            if not run_tests(copy, TESTS[module], TIMEOUT_S):
                 print(f"{module}: its tests fail unmutated; fix them first")
                 return 1
+            timeouts[module] = 10 * (time.perf_counter() - began) + 30
         for i, (module, place, start, end, new) in enumerate(plan, 1):
             target = copy / PACKAGE / f"{module}.py"
             original = target.read_bytes()
             target.write_bytes(original[:start] + new.encode() + original[end:])
             began = time.perf_counter()
-            survived = run_tests(copy, TESTS[module])
+            survived = run_tests(copy, TESTS[module], timeouts[module])
             target.write_bytes(original)
             name = f"{PACKAGE / module}.py:{place}"
             verdict = "SURVIVED" if survived else "killed"
