@@ -69,6 +69,9 @@ def _checked_bids(values) -> np.ndarray:
     return require_positive("bid", values, True)
 
 
-def sale_profit(n_winners: int, price: float, cost: float) -> float:
-    """Profit of a posted-price sale: n_winners*price minus the cost of its data."""
+def sale_profit(n_winners, price: float, cost: float):
+    """Profit of a posted-price sale: n_winners*price minus the cost of its data.
+
+    n_winners may be an array of counts, one per sale.
+    """
     return n_winners * price - cost

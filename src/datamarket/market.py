@@ -258,3 +258,60 @@ def _generators(first_seed: int, n: int):
             bit_generator.state = full
             yield rng
         seed += block
+
+
+# A PCG64 Generator's random() turns each raw uint64 output r into the double
+# (r >> 11) / 2**53, so a valuation sample_valuations draws from r is
+# support_max * ((r >> 11) / 2**53); the trial loop counts buyers from r alone
+_UNITS = 2**53
+# the most raw outputs held at once: 0.5 MB, whatever M is
+_CHUNK = 65536
+
+
+def _unit_threshold(support_max: float, price: float) -> int:
+    """The least k with support_max * (k / 2**53) >= price, or 2**53 if no
+    k < 2**53 has it.
+
+    Rounding a product by a positive factor is monotone in the other factor,
+    so a valuation drawn from raw output r reaches the price exactly when
+    r >> 11 >= k.  A bisection finds k.  Its first two probes lie two units
+    either side of price / support_max * 2**53 (at the ends if that is not
+    finite), which is within a unit of k unless the quotient is subnormal, so
+    it takes at most four probes where a blind one takes 54; whatever they
+    are, each probe keeps it exact.
+    """
+    lo, hi = -1, _UNITS  # k is in (lo, hi]: lo does not reach the price, hi does
+    # not finite if the price is not, or if it dwarfs the support
+    guess = price / support_max * _UNITS
+    probes = ([int(guess) - 2, int(guess) + 2] if math.isfinite(guess)
+              else [0, _UNITS - 1])
+    while hi - lo > 1:
+        k = min(max(probes.pop(), lo + 1), hi - 1) if probes else (lo + hi) // 2
+        if support_max * (k / _UNITS) >= price:
+            hi = k
+        else:
+            lo = k
+    return hi
+
+
+def _count_buyers(M: int, model: ValuationModel, price: float, rngs,
+                  trials: int) -> np.ndarray:
+    """The buyers at price in each of trials markets of M customers: trial t
+    counts the valuations that sample_valuations(M, model, seed=rng) would
+    draw at or above the price, rng the t-th of the next trials Generators
+    of rngs.
+
+    Each Generator advances as it would there, a chunk of at most _CHUNK raw
+    outputs at a time; if no valuation can reach the price, it draws nothing.
+    """
+    unit = _unit_threshold(model.support_max, price)
+    if unit < _UNITS:
+        threshold, starts = np.uint64(unit << 11), range(0, M, _CHUNK)
+    else:  # no valuation can reach the price
+        threshold, starts = None, ()
+    counts = np.zeros(trials, dtype=np.int64)
+    for t, rng in zip(range(trials), rngs):  # takes no generator past the last
+        draw = rng.bit_generator.random_raw
+        for start in starts:
+            counts[t] += np.count_nonzero(draw(min(_CHUNK, M - start)) >= threshold)
+    return counts

@@ -3,9 +3,10 @@
 simulate() replays the optimal posted-price sale on seeded valuation draws and
 compares realized profit with the analytic expectation.  sweep() tabulates
 analytic and simulated profit along a grid over one of {price, q, k, gamma},
-producing plot-ready rows.  Both run on one numpy array of M valuations per
-trial, with no per-customer objects, through the same trial loop, which builds
-each sale's valuation model and data cost from the market and the data size.
+producing plot-ready rows.  Both run through the same trial loop, which
+builds each sale's valuation model and data cost from the market and the data
+size, and counts each trial's buyers from its raw draws a chunk at a time,
+with no per-customer objects and no array of M valuations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .auction import optimal_price, sale_profit
-from .market import (ValuationModel, _generators, data_cost, sample_valuations,
+from .market import (ValuationModel, _count_buyers, _generators, data_cost,
                      valuation_cdf)
 from .optimize import expected_profit, grid, optimal_data_size
 from .scenario import ScenarioConfig
@@ -26,14 +27,14 @@ __all__ = ["SimulationReport", "SweepResultRow", "SWEEP_PARAMETERS", "MAX_DRAWS"
 
 SWEEP_PARAMETERS = ("price", "q", "k", "gamma")
 # The most valuations one run may draw: M per trial, times trials per row,
-# times rows.  10**8 draws take about half a second.  It also bounds one
-# trial's arrays, as nothing else does: at M = 10**8 a trial holds two float64
-# arrays and a bool array of M elements, about 1.7 GB.  The largest benchmark
-# command, a sweep of 100 rows of 100 trials of M = 10**4, draws exactly 10**8.
+# times rows.  10**8 draws take about half a second.  It bounds time alone: a
+# trial holds at most a chunk of 65536 raw draws (0.5 MB) whatever M is.  The
+# largest benchmark command, a sweep of 100 rows of 100 trials of M = 10**4,
+# draws exactly 10**8.
 MAX_DRAWS = 10**8
 # The most trials one run may make: trials per row, times rows.  A trial costs
-# about 8-10 us whatever M is, so 10**6 trials take about 10 s; the largest
-# benchmark command makes 10**4.
+# about 5-10 us whatever M is, so 10**6 trials take up to about 10 s; the
+# largest benchmark command makes 10**4.
 MAX_TRIALS = 10**6
 
 
@@ -84,11 +85,9 @@ def _monte_carlo(params, curve, q, price, rngs, trials):
     """
     model = ValuationModel.from_market(curve, q, params.gamma)
     cost = data_cost(q, params.k)
-    profits = np.empty(trials)
-    for t, rng in zip(range(trials), rngs):  # takes no generator past the last
-        values = sample_valuations(params.M, model, seed=rng)
-        profits[t] = sale_profit(np.count_nonzero(values >= price), price, cost)
+    counts = _count_buyers(params.M, model, price, rngs, trials)
     with np.errstate(over="ignore"):  # the check below reports an overflow
+        profits = sale_profit(counts, price, cost)
         mean = float(profits.mean())
         std = float(profits.std(ddof=1)) if trials > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(std)):

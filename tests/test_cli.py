@@ -549,10 +549,12 @@ class TestModuleEntryPoint:
 class TestBenchmarkBindings:
     """The benchmark traces layers by rebinding module attributes, and skips a
     binding that no longer exists; these tests keep every binding it names but
-    the ones in GONE, of the record adapters the package no longer has."""
+    the ones in GONE: the record adapters the package no longer has, and the
+    draw the trial loop no longer makes, as it counts buyers from raw draws."""
 
     GONE = {("datamarket.simulate", "run_auction"), ("datamarket.cli", "run_auction"),
-            ("datamarket.cli", "fit_utility"), ("datamarket.cli", "satisfaction_rate")}
+            ("datamarket.cli", "fit_utility"), ("datamarket.cli", "satisfaction_rate"),
+            ("datamarket.simulate", "sample_valuations")}
 
     def test_cli_and_csvio_layers_resolve(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

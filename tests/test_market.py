@@ -17,8 +17,8 @@ from datamarket import (
     valuation_cdf,
     virtual_valuation,
 )
-from datamarket.market import (_BLOCK, _generators, _pcg64_states,
-                               require_positive)
+from datamarket.market import (_BLOCK, _CHUNK, _UNITS, _count_buyers, _generators,
+                               _pcg64_states, _unit_threshold, require_positive)
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
 
@@ -296,3 +296,96 @@ class TestSeedingKernel:
     def test_generators_match_default_rng(self, first_seed, n):
         states = [rng.bit_generator.state for rng in _generators(first_seed, n)]
         assert states == [default_state(s) for s in range(first_seed, first_seed + n)]
+
+
+def replayed_count(M, model, price, seed):
+    return int(np.count_nonzero(sample_valuations(M, model, seed) >= price))
+
+
+def raw_count(M, model, price, seed):
+    rng = np.random.default_rng(seed)
+    (count,) = _count_buyers(M, model, price, [rng], 1).tolist()
+    return count, rng
+
+
+def assert_least_unit(support, price):
+    """_unit_threshold gives the least k whose valuation reaches the price."""
+    unit = _unit_threshold(support, price)
+    assert 0 <= unit <= _UNITS
+    assert unit == _UNITS or support * (unit / _UNITS) >= price
+    assert unit == 0 or not support * ((unit - 1) / _UNITS) >= price
+
+
+class TestBuyerCount:
+    """Raw draws counted against one integer threshold give the count of the
+    valuations sample_valuations draws at or above the price, exactly."""
+
+    @settings(deadline=None)
+    @given(log_support=st.floats(-6.0, 6.0), M=st.integers(1, 40),
+           seed=st.integers(0, 2**64), pick=st.integers(0, 39))
+    def test_count_equals_replay(self, log_support, M, seed, pick):
+        support = 10.0**log_support
+        model = ValuationModel(support_max=support)
+        drawn = float(sample_valuations(M, model, seed)[pick % M])
+        for price in (drawn, math.nextafter(drawn, -math.inf),
+                      math.nextafter(drawn, math.inf), 0.0, support,
+                      math.nextafter(support, 0.0), 1e308):
+            count, _ = raw_count(M, model, price, seed)
+            assert count == replayed_count(M, model, price, seed)
+            assert_least_unit(support, price)
+
+    @pytest.mark.parametrize("M", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_chunks_keep_the_stream(self, M):
+        model = ValuationModel(support_max=0.7)
+        price = float(np.median(sample_valuations(M, model, 5)))
+        count, rng = raw_count(M, model, price, 5)
+        assert count == replayed_count(M, model, price, 5)
+        replay = np.random.default_rng(5)
+        replay.random(M)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_a_draw_at_the_threshold_counts(self):
+        # at support 1 raw output r gives exactly the valuation (r >> 11) / 2**53;
+        # draw 308 of seed 0 has its low 11 bits zero, so priced at its own
+        # valuation it equals the raw threshold
+        raw = int(np.random.default_rng(0).bit_generator.random_raw(309)[308])
+        assert raw % 2048 == 0
+        model = ValuationModel(support_max=1.0)
+        price = float(sample_valuations(309, model, 0)[308])
+        assert _unit_threshold(1.0, price) << 11 == raw
+        assert raw_count(309, model, price, 0)[0] == replayed_count(309, model, price, 0)
+
+    @pytest.mark.parametrize("support, price", [
+        (1e-6, 1e308), (5e-324, 1e308), (1e308, 1e308), (1.0, 1.0),
+        (1e-310, 1e-320), (1e-300, 5e-324), (1.0, 5e-324), (2.0, -1.0), (1.0, -5e-324),
+        (1.0, 0.5), (0.7, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)])
+    def test_extreme_prices(self, support, price):
+        # no float-to-int overflow; a subnormal quotient falls back on bisection
+        assert_least_unit(support, price)
+        model = ValuationModel(support_max=support)
+        count, rng = raw_count(5, model, price, 9)
+        assert count == replayed_count(5, model, price, 9)
+        if _unit_threshold(support, price) == _UNITS:  # no valuation reaches the price
+            assert rng.bit_generator.state == default_state(9)
+
+    def test_a_normal_quotient_takes_four_probes(self):
+        # each probe multiplies the support once; a blind bisection takes 54.
+        # A price at or above the support takes one probe, one at or below 0 two.
+        class Counting(float):
+            probes = 0
+
+            def __mul__(self, other):
+                Counting.probes += 1
+                return float(self) * other
+
+        rng = np.random.default_rng(2)
+        for support in 10.0 ** rng.uniform(-6.0, 6.0, 200):
+            support = float(support)
+            for price, most in ((support * float(rng.random()), 4),
+                                (math.nextafter(support, 0.0), 4), (0.0, 2),
+                                (-1.0, 2), (-math.inf, 2), (support, 1),
+                                (2.0 * support, 1), (1e308, 1), (math.inf, 1)):
+                Counting.probes = 0
+                unit = _unit_threshold(Counting(support), price)
+                assert unit == _unit_threshold(support, price)
+                assert Counting.probes <= most, (support, price)

@@ -1,4 +1,4 @@
-import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +9,7 @@ from datamarket import (
     MAX_TRIALS,
     ScenarioError,
     ScenarioConfig,
+    ValuationModel,
     check_draws,
     data_cost,
     expected_profit,
@@ -134,7 +135,7 @@ class TestDrawBound:
                 check_draws(*sizes, names=("M", "trials", "steps"))
 
     def test_checked_before_anything_is_drawn(self):
-        # 7 PiB of valuations: a MemoryError if sampling were reached
+        # 10**15 valuations: weeks of drawing if sampling were reached
         huge = taxi_scenario()
         for config, name in ((replace(huge, M=10**15), "scenario field M"),
                              (replace(huge, trials=10**15), "scenario field trials")):
@@ -142,6 +143,20 @@ class TestDrawBound:
                 simulate(config)
         with pytest.raises(ValueError, match="^steps: "):
             sweep(huge, "q", 1.0, 100.0, 10**15)
+
+    def test_memory_does_not_grow_with_M(self):
+        # a trial holds at most a chunk of raw draws, whatever M is, so the
+        # draw bound bounds time alone
+        simulate(small_config(M=10, trials=2))  # the caches are filled
+        peaks = []
+        for M in (10**5, 10**7):
+            tracemalloc.start()
+            try:
+                simulate(small_config(M=M, trials=2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 0.25e6, peaks
 
     def test_trials_are_bounded_whatever_M_is(self):
         # at M = 1 the draw bound would admit 10**8 trials, some 50 minutes
@@ -272,23 +287,26 @@ class TestSweepResults:
         assert tail.optimal_price == 0.0
         assert (tail.empirical_mean, tail.empirical_std) == (0.0, 0.0)
 
-    def test_row_seeds_skip_rejected_rows(self, monkeypatch):
-        # row r, trial t draws from the generator default_rng(seed + r*trials + t)
-        # starts as; the first two gamma rows are rejected and draw nothing
-        module = importlib.import_module("datamarket.simulate")
-        original = module.sample_valuations
-        states = []
-
-        def recording(M, model, *, seed):
-            states.append(seed.bit_generator.state)
-            return original(M, model, seed=seed)
-
-        monkeypatch.setattr(module, "sample_valuations", recording)
+    def test_row_seeds_skip_rejected_rows(self):
+        # row r, trial t draws what sample_valuations draws with seed
+        # seed + r*trials + t; the first two gamma rows are rejected and draw
+        # nothing, so the three accepted rows replay seeds 6 to 14
         config = small_config(M=10, k=1.0, a=0.001, b=0.01, q=None, seed=0, trials=3)
         rows = sweep(config, "gamma", 50.0, 150.0, 5)
         assert [row.optimal_q > 0 for row in rows] == [False, False, True, True, True]
-        assert states == [np.random.default_rng(s).bit_generator.state
-                          for s in range(6, 15)]
+        assert [row.empirical_mean for row in rows[:2]] == [0.0, 0.0]
+        seeds = iter(range(6, 15))
+        for row in rows[2:]:
+            model = ValuationModel.from_market(config.curve, row.optimal_q, row.value)
+            cost = data_cost(row.optimal_q, config.k)
+            profits = np.array([
+                sale_profit(np.count_nonzero(
+                    sample_valuations(config.M, model, seed) >= row.optimal_price),
+                    row.optimal_price, cost)
+                for _, seed in zip(range(config.trials), seeds)])
+            assert profits.mean() == row.empirical_mean
+            assert profits.std(ddof=1) == row.empirical_std
+        assert next(seeds, None) is None
 
     def test_gamma_sweep_runs_where_the_base_optimum_overflows(self):
         # M*gamma = 5e309 at the configured gamma; gamma rows re-optimize at
