@@ -3,9 +3,12 @@
 All files are UTF-8 with a mandatory header row and `.` as decimal separator.
 A reader returns a numpy structured array with one field per header name and
 one element per data row, parsed in C by one np.loadtxt call, after checking
-whole columns with the checks of the array cores that take them.  A file that
-call refuses or might take wrongly, or that fails a check, is read row by row,
-to name the first faulty line or to return it.
+whole columns with the checks of the array cores that take them.  That call
+reads the file by its path, in large chunks, unless numpy would open the path
+otherwise than csv.reader reads the file: then it reads through a handle.  A
+file that call refuses or might take wrongly, that fails a check, or that is
+not a regular file (a pipe), is read row by row, to name the first faulty line
+or to return it.
 
 Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
 line ends), but _CHUNK_ROWS rows at a time through one %-template per table,
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import fields
@@ -60,6 +65,8 @@ _FLOAT_SPEC = ".6g"
 _SPECIAL = (",", '"', "\r", "\n")
 # bytes np.loadtxt skips as whitespace around a number, and float() refuses
 _LOOSE_SPACE = b"\x1c\x1d\x1e\x1f"
+# the suffixes of the files np.loadtxt, given a path, opens through a decompressor
+_COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
 
 
 def format_sig(x: float) -> str:
@@ -107,54 +114,87 @@ def _read_records(path, header: Sequence[str], record: Callable) -> list:
     return records
 
 
-def _fits(path, table: np.ndarray) -> bool:
-    """Whether csv.reader and float() take path as np.loadtxt took it into table.
+def _scan(path) -> tuple[bool, bool]:
+    """(fit, quoted_cr): whether path's bytes fit csv.reader and float() as
+    np.loadtxt reads them, and whether path holds both '"' and '\r'.
 
     loadtxt ignores csv.field_size_limit() and skips _LOOSE_SPACE around a
-    number, so neither may occur: no id over the limit, no _LOOSE_SPACE byte,
-    and no run of bytes without a comma over the limit (a number holds no
-    comma, but may hold newlines inside quotes).  path is read a MiB at a time.
+    number, so neither may occur: no _LOOSE_SPACE byte, and no run of bytes
+    without a comma over the limit (a number holds no comma, but may hold
+    newlines inside quotes).  path is read a MiB at a time.  Only a regular
+    file is read: any other, such as a pipe, can be read only once, so it
+    does not fit and is left to the row reader.
+    """
+    limit = csv.field_size_limit()
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return False, False
+    last = end = -1  # the offsets of the last comma so far and of the last byte
+    quote = cr = False
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            commas = end + 1 + np.flatnonzero(np.frombuffer(block, np.uint8) == ord(","))
+            gap = np.diff(commas, prepend=last).max(initial=0)  # one more than a run
+            if gap > limit + 1 or any(map(block.__contains__, _LOOSE_SPACE)):
+                return False, False
+            quote, cr = quote or b'"' in block, cr or b"\r" in block
+            last, end = int(commas[-1]) if len(commas) else last, end + len(block)
+    return end - last <= limit, quote and cr
+
+
+def _fits(path, table: np.ndarray, scanned: bool = False) -> bool:
+    """Whether csv.reader and float() take path as np.loadtxt took it into table.
+
+    No id may be over csv.field_size_limit(), which loadtxt ignores, and
+    path's bytes must fit (_scan), unless scanned says they already passed.
     """
     limit = csv.field_size_limit()
     ids = (table[name].tolist() for name in table.dtype.names
            if table[name].dtype == object)
     if any(max(map(len, column), default=0) > limit for column in ids):
         return False
-    last = end = -1  # the offsets of the last comma so far and of the last byte
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            commas = end + 1 + np.flatnonzero(np.frombuffer(block, np.uint8) == ord(","))
-            gap = np.diff(commas, prepend=last).max(initial=0)  # one more than a run
-            if gap > limit + 1 or any(map(block.__contains__, _LOOSE_SPACE)):
-                return False
-            last, end = int(commas[-1]) if len(commas) else last, end + len(block)
-    return end - last <= limit
+    return scanned or _scan(path)[0]
 
 
 def _read_table(path, header: Sequence[str], kinds: Sequence[type],
                 check: Callable, record: Callable) -> np.ndarray:
     """path's data rows as a structured array, once check takes its columns.
 
-    One np.loadtxt call parses the file in C.  A file it refuses, whose
-    header is not one unquoted line, whose columns (in header order) check
-    raises a ValueError for, or that fails _fits, is read by _read_records
-    with record (it checks one row and returns its fields as a tuple in
-    header order): that raises the first fault in file order as path:line,
-    or returns the rows of the table np.loadtxt would have made.
+    One np.loadtxt call parses the file in C.  A file whose bytes fail _scan,
+    that call refuses, whose header is not one unquoted line, whose columns
+    (in header order) check raises a ValueError for, or that fails _fits, is
+    read by _read_records with record (it checks one row and returns its
+    fields as a tuple in header order): that raises the first fault in file
+    order as path:line, or returns the rows of the table np.loadtxt would
+    have made.
+
+    np.loadtxt reads a path in large chunks but a handle line by line, so it
+    is given the path, with "./" ahead of a relative one so that numpy reads
+    no URL scheme into it (os.path.abspath would resolve "link/.." wrongly).
+    But numpy opens a path with universal newlines, which turn a quoted "\r"
+    into "\n", and decompresses it by its suffix: a file holding both '"'
+    and '\r', or named with a suffix in _COMPRESSED, is given as the handle
+    that the header was read from.
     """
     dtype = np.dtype(list(zip(header, kinds)))
-    try:
-        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the UserWarning of a file with no rows
-            if [cell.strip() for cell in fh.readline().split(",")] == list(header):
-                table = np.loadtxt(fh, dtype, comments=None, delimiter=",",
-                                   quotechar='"', ndmin=1)
-                if len(table):
-                    check(*(table[name] for name in header))
-                    if _fits(path, table):
-                        return table
-    except ValueError:  # any fault; UnicodeDecodeError is a ValueError
-        pass
+    fit, quoted_cr = _scan(path)
+    if fit:  # else only the row reader opens path: a pipe can be read only once
+        name = os.path.join(os.curdir, os.fsdecode(path))
+        by_path = not quoted_cr and os.path.splitext(name)[1] not in _COMPRESSED
+        try:
+            with (open(path, newline="", encoding="utf-8") as fh,
+                  warnings.catch_warnings()):
+                warnings.simplefilter("ignore")  # the UserWarning of a file with no rows
+                if [cell.strip() for cell in fh.readline().split(",")] == list(header):
+                    fh.seek(0)
+                    table = np.loadtxt(name if by_path else fh, dtype,
+                                       comments=None, delimiter=",", quotechar='"',
+                                       ndmin=1, skiprows=1, encoding="utf-8")
+                    if len(table):
+                        check(*(table[field] for field in header))
+                        if _fits(path, table, True):
+                            return table
+        except ValueError:  # any fault; UnicodeDecodeError is a ValueError
+            pass
     return np.array(_read_records(path, header, record), dtype)
 
 
@@ -180,7 +220,6 @@ def read_bids(path) -> np.ndarray:
         return cid, require_positive("bid", _number("bid", value), True)
 
     def check(ids, bids):
-        ids = ids.tolist()
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate customer_id")
         _checked_bids(bids)

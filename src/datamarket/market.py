@@ -142,7 +142,8 @@ def valuation_cdf(v, model: ValuationModel):
 
     Accepts scalars or arrays.
     """
-    return _unwrap(np.clip(np.asarray(v, dtype=float) / model.support_max, 0.0, 1.0))
+    with np.errstate(over="ignore"):  # a quotient past the float range clips to 1
+        return _unwrap(np.clip(np.asarray(v, dtype=float) / model.support_max, 0.0, 1.0))
 
 
 def sample_valuations(M: int, model: ValuationModel,

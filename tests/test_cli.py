@@ -291,6 +291,19 @@ class TestSweep:
         assert code == 0
         assert capsys.readouterr().out.startswith("value,")
 
+    def test_price_past_the_float_range_warns_nothing(self, capsys):
+        # price / support_max overflows at 1e308; the valuation CDF clips it to 1
+        argv = ["sweep", "--config", str(taxi_scenario_path()), "--param", "price",
+                "--lo", "0", "--hi", "1e308", "--steps", "3"]
+        assert cli_main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "value,expected_profit,optimal_price,optimal_q,empirical_mean,empirical_std\r\n"
+            "0,-25,0.262652,39.5,-25,0\r\n"
+            "5e+307,-25,0.262652,39.5,-25,0\r\n"
+            "1e+308,-25,0.262652,39.5,-25,0\r\n")
+
 
     @pytest.mark.parametrize("argv, named, message", [
         # q* overflows before any row, on the scenario alone

@@ -1,13 +1,15 @@
 import csv
 import io
 import math
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from datamarket import SweepResultRow, csvio, load_scenario
+from datamarket import SweepResultRow, csvio, load_scenario, taxi_scenario_path
+from datamarket.cli import cli_main
 from datamarket.csvio import (
     BID_HEADER,
     POINT_HEADER,
@@ -257,6 +259,15 @@ def csv_files(draw):
 @example(file=(read_bids, b"customer_id,bid\na\x1cb,2\n"))
 @example(file=(read_bids, b"customer_id,bid\nid0,0.5\n"))
 @example(file=(read_bids, b"customer_id,bid\n"))
+@example(file=(read_bids, b'customer_id,bid\n"a\rb",0.5\nid1,1\n'))
+@example(file=(read_bids, b'customer_id,bid\n"a\r\nb",0.5\nid1,1\n'))
+@example(file=(read_bids, b'customer_id,bid\n"a\r""b",0.5\nid1,1\n'))
+@example(file=(read_bids, b'customer_id,bid\r\n"a\rb",0.5\r\nid1,1\r\n'))
+@example(file=(read_bids, b'customer_id,bid\r\n"a\r\nb",0.5\r\nid1,1\r\n'))
+@example(file=(read_bids, b'customer_id,bid\r\n"a\r""b",0.5\r\nid1,1\r\n'))
+@example(file=(read_bids, b'customer_id,bid\r"a\rb",0.5\rid1,1\r'))
+@example(file=(read_bids, b'customer_id,bid\r"a\r\nb",0.5\rid1,1\r'))
+@example(file=(read_bids, b'customer_id,bid\r"a\r""b",0.5\rid1,1\r'))
 @given(file=csv_files())
 def test_column_pass_decides_as_the_row_reader(tmp_path, file):
     reader, data = file
@@ -334,6 +345,98 @@ def test_a_comma_free_run_is_measured_across_reads(tmp_path, extra, fits):
     assert csvio._fits(path, table) is fits
     path.write_bytes(b"y_true,y_pred\n" + rows + b"2,1\x1c\n")
     assert not csvio._fits(path, table)
+
+
+# np.loadtxt reads a path in large chunks, but numpy opens it otherwise than
+# csv.reader does: with universal newlines, by its suffix, and as a URL if it
+# looks like one.  Each file here must read as it does through a handle.
+BIDS = b'customer_id,bid\nc0,0.5\n"c,1",0.25\nc2,0\n'
+
+
+@pytest.mark.parametrize("data, by_path", [
+    (b"customer_id,bid\nc0,0.5\nc1,1\n", True),
+    (b"customer_id,bid\r\nc0,0.5\r\nc1,1\r\n", True),
+    (b"customer_id,bid\rc0,0.5\rc1,1\r", True),
+    (BIDS, True),
+    (b'customer_id,bid\r\n"c,0",0.5\r\nc1,1\r\n', False),
+    (b'customer_id,bid\n"c\r0",0.5\nc1,1\n', False),
+    # the handle is read again from the header's first byte, not inside it
+    ('\u3000customer_id,bid\r\n"c,0",0.5\r\n'.encode(), False),
+], ids=("lf", "crlf", "cr", "quoted-lf", "quoted-crlf", "quoted-cr-in-id",
+        "wide-space-header"))
+def test_loadtxt_gets_the_path_unless_the_file_holds_quotes_and_cr(
+        tmp_path, data, by_path):
+    path = tmp_path / "bids.csv"
+    path.write_bytes(data)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        c_pass_only(read_bids, path)
+    source = loadtxt.call_args.args[0]
+    assert source == str(path) if by_path else hasattr(source, "readline")
+    assert_same_decision(read_bids, path)
+
+
+@pytest.mark.parametrize("suffix", [suffix for suffix in
+                                    np.lib._datasource._file_openers.keys() if suffix])
+def test_a_suffix_numpy_decompresses_is_read_as_plain_text(tmp_path, suffix, capsys):
+    plain, named = tmp_path / "bids.csv", tmp_path / f"bids.csv{suffix}"
+    plain.write_bytes(BIDS)
+    named.write_bytes(BIDS)
+    assert c_pass_only(read_bids, named).tolist() == read_bids(plain).tolist()
+    assert_same_decision(read_bids, named)
+    outputs = []
+    for path in (plain, named):
+        assert cli_main(["auction", "--bids", str(path),
+                         "--config", str(taxi_scenario_path())]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_a_url_shaped_relative_path_is_read_locally(tmp_path, monkeypatch):
+    local = tmp_path / "http:" / "x" / "bids.csv"
+    local.parent.mkdir(parents=True)
+    local.write_bytes(BIDS)
+    monkeypatch.chdir(tmp_path)
+    with mock.patch("urllib.request.urlopen", side_effect=AssertionError("urlopen")):
+        table = c_pass_only(read_bids, "http://x/bids.csv")
+    assert table.tolist() == read_bids(local).tolist()
+
+
+def test_a_bytes_path_reads_as_its_str(tmp_path):
+    path = tmp_path / "bids.csv"
+    path.write_bytes(BIDS)
+    assert c_pass_only(read_bids, os.fsencode(path)).tolist() == read_bids(path).tolist()
+
+
+def test_dot_dot_after_a_symlink_reads_the_file_the_system_opens(tmp_path, monkeypatch):
+    (tmp_path / "real" / "sub").mkdir(parents=True)
+    (tmp_path / "real" / "bids.csv").write_bytes(BIDS)
+    (tmp_path / "work").mkdir()
+    (tmp_path / "work" / "bids.csv").write_bytes(b"customer_id,bid\nother,1\n")
+    (tmp_path / "work" / "link").symlink_to(tmp_path / "real" / "sub")
+    monkeypatch.chdir(tmp_path / "work")
+    table = c_pass_only(read_bids, "link/../bids.csv")
+    assert table.tolist() == read_bids(tmp_path / "real" / "bids.csv").tolist()
+
+
+# a pipe can be read only once, so the row reader alone reads it, with the
+# checks a file on disk gets (the \x1c here is one)
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("data", [BIDS, b"customer_id,bid\na,1\x1c\nb,0.5\n"],
+                         ids=("valid", "loose-space"))
+def test_a_pipe_reads_as_the_file_does(tmp_path, data):
+    path = tmp_path / "bids.csv"
+    path.write_bytes(data)
+    expected, expected_message = read(read_bids, path)
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(data)
+    with os.fdopen(read_end, "rb"):
+        pipe = f"/dev/fd/{read_end}"
+        table, message = read(read_bids, pipe)
+    if expected is None:
+        assert message == expected_message.replace(str(path), pipe)
+    else:
+        assert table.tolist() == expected.tolist()
 
 
 # each column check at its bound: a file with one value on or just past it

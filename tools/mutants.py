@@ -1,8 +1,8 @@
 """Mutation testing of src/datamarket, with the standard library only.
 
 Every comparison operator in src/datamarket/*.py is flipped in turn
-(`<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`), and every integer literal is
-nudged (`n` -> `n + 1`), one mutant at a time, in a temporary copy of the
+(`<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`), and every int or float literal
+is nudged (`x` -> `x + 1`), one mutant at a time, in a temporary copy of the
 repository.  Each mutant runs the test files mapped to its module with
 `pytest -x`; a mutant whose tests all pass survives.  The survivors and the
 score (killed / total) are printed.
@@ -75,12 +75,12 @@ def mutants(path: Path) -> list[tuple[str, int, int, str]]:
                    for inner in ast.walk(node)}
     found = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Constant) and type(node.value) is int
+        if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
                 and id(node) not in in_fstrings):
             at = offset(node.lineno, node.col_offset)
             end = offset(node.end_lineno, node.end_col_offset)
             old = source[at:end].decode("utf-8")
-            new = str(node.value + 1)
+            new = repr(node.value + 1)
             found.append((f"{node.lineno}:{node.col_offset + 1}: {old} -> {new}",
                           at, end, new))
             continue
