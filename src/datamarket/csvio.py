@@ -141,18 +141,13 @@ def _scan(path) -> tuple[bool, bool]:
     return end - last <= limit, quote and cr
 
 
-def _fits(path, table: np.ndarray, scanned: bool = False) -> bool:
-    """Whether csv.reader and float() take path as np.loadtxt took it into table.
-
-    No id may be over csv.field_size_limit(), which loadtxt ignores, and
-    path's bytes must fit (_scan), unless scanned says they already passed.
-    """
+def _fits(table: np.ndarray) -> bool:
+    """Whether csv.reader takes the ids np.loadtxt read into table: none may be
+    over csv.field_size_limit(), which loadtxt ignores (_scan checks the bytes)."""
     limit = csv.field_size_limit()
     ids = (table[name].tolist() for name in table.dtype.names
            if table[name].dtype == object)
-    if any(max(map(len, column), default=0) > limit for column in ids):
-        return False
-    return scanned or _scan(path)[0]
+    return all(max(map(len, column), default=0) <= limit for column in ids)
 
 
 def _read_table(path, header: Sequence[str], kinds: Sequence[type],
@@ -191,7 +186,7 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
                                        ndmin=1, skiprows=1, encoding="utf-8")
                     if len(table):
                         check(*(table[field] for field in header))
-                        if _fits(path, table, True):
+                        if _fits(table):
                             return table
         except ValueError:  # any fault; UnicodeDecodeError is a ValueError
             pass

@@ -60,10 +60,7 @@ class MarketParams:
     N: float
 
     def __post_init__(self):
-        require_positive("M", self.M)
-        if self.M != int(self.M):
-            raise ValueError(f"M: must be an integer, got {self.M!r}")
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "M", _require_count("M", self.M))
         require_positive("k", self.k)
         require_positive("gamma", self.gamma)
         require_positive("N", self.N)
@@ -114,6 +111,14 @@ def require_positive(name: str, value, allow_zero: bool = False):
     return arr
 
 
+def _require_count(name: str, value) -> int:
+    """value as an int if a positive integer, else a ValueError naming `name`."""
+    require_positive(name, value)
+    if value != int(value):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def _unwrap(out):
     """A Python float for a scalar or 0-d result, else the array."""
     return out if getattr(out, "ndim", 0) else float(out)
@@ -152,21 +157,19 @@ def sample_valuations(M: int, model: ValuationModel,
 
     A Generator given as seed is drawn from as it is, so it advances.
     """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    M = _require_count("M", M)
     rng = np.random.default_rng(seed)
     # preference degrees uniform on [0, 1], scaled by the support
-    return model.support_max * rng.random(int(M))
+    return model.support_max * rng.random(M)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# seeding step (O'Neill 2014), over uint32 arrays of consecutive seeds
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), over uint32
+# arrays of consecutive seeds
+_MASK32 = 2**32 - 1
 _POOL = 4  # SeedSequence's pool size, in 32-bit words
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the hash constants of mix_entropy
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # and of generate_state
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # the most seeds hashed at once, so memory does not grow with a run
 _BLOCK = 1024
 
@@ -200,9 +203,10 @@ _STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
 _OTHERS = [np.array([i for i in range(_POOL) if i != src]) for src in range(_POOL)]
 
 
-def _pcg64_states(first_seed: int, n: int) -> list[tuple[int, int]]:
-    """(state, inc) of np.random.default_rng(s).bit_generator for each seed
-    s = first_seed + t, t < n; the seeds must share their bits above 32.
+def _seed_words(first_seed: int, n: int) -> np.ndarray:
+    """np.random.SeedSequence(s).generate_state(4, np.uint64) for each seed
+    s = first_seed + t, t < n, as row t of an (n, 4) uint64 array; the seeds
+    must share their bits above 32.
 
     The seed's 32-bit words, lowest first, are SeedSequence's entropy.  The
     lowest varies along the block; the rest are the same for every seed, and a
@@ -228,36 +232,42 @@ def _pcg64_states(first_seed: int, n: int) -> list[tuple[int, int]]:
         pool = _mix(pool, _hashmix(np.uint32(word), steps[:, at:at + _POOL]))
     # generate_state(4, uint64): eight words from the pool, paired low first
     out = _hashmix(np.concatenate((pool, pool)), _STATE_STEPS).astype(np.uint64)
-    seeds = out[0::2] | (out[1::2] << np.uint64(32))
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds.tolist()):
-        # pcg64_set_seed: inc = 2*initseq + 1, then two LCG steps from 0
-        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-        state = ((((state_hi << 64) | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    # PCG64 reads a row's words through a raw pointer, ignoring strides, so
+    # the rows must be contiguous
+    return np.ascontiguousarray((out[0::2] | (out[1::2] << np.uint64(32))).T)
+
+
+@functools.cache
+def _seed_sequence() -> type:
+    """A SeedSequence stand-in that gives PCG64 the words it holds; made on
+    first use, as numpy.random takes 15 ms to import and optimize needs none."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Words
 
 
 def _generators(first_seed: int, n: int):
-    """Yield n Generators, the t-th in the state np.random.default_rng(first_seed + t)
-    starts in.
+    """Yield n PCG64 bit generators, the t-th in the state
+    np.random.default_rng(first_seed + t).bit_generator starts in.
 
     The seeds are hashed in blocks of at most _BLOCK that end at a multiple of
     2**32, if they reach one, so the seeds of a block share their bits above
-    32.  One Generator is reused for every seed: a caller must be done drawing
-    from one before taking the next.
+    32; PCG64 seeds itself from each seed's words.
     """
+    seed_sequence, pcg64 = _seed_sequence(), np.random.PCG64
     seed = operator.index(first_seed)
     end = seed + n
-    rng = np.random.default_rng(seed)  # its state is overwritten for every seed
-    bit_generator = rng.bit_generator
-    full = bit_generator.state
     while seed < end:
         block = min(seed + _BLOCK, end, (seed | _MASK32) + 1) - seed
-        for state, inc in _pcg64_states(seed, block):
-            full["state"] = {"state": state, "inc": inc}
-            bit_generator.state = full
-            yield rng
+        for row in _seed_words(seed, block):
+            yield pcg64(seed_sequence(row))
         seed += block
 
 
@@ -295,24 +305,22 @@ def _unit_threshold(support_max: float, price: float) -> int:
     return hi
 
 
-def _count_buyers(M: int, model: ValuationModel, price: float, rngs,
+def _count_buyers(M: int, model: ValuationModel, price: float, first_seed: int,
                   trials: int) -> np.ndarray:
     """The buyers at price in each of trials markets of M customers: trial t
-    counts the valuations that sample_valuations(M, model, seed=rng) would
-    draw at or above the price, rng the t-th of the next trials Generators
-    of rngs.
+    counts the valuations that sample_valuations(M, model, first_seed + t)
+    would draw at or above the price.
 
-    Each Generator advances as it would there, a chunk of at most _CHUNK raw
-    outputs at a time; if no valuation can reach the price, it draws nothing.
+    Each trial draws its raw outputs a chunk of at most _CHUNK at a time; if
+    no valuation can reach the price, nothing is drawn.
     """
     unit = _unit_threshold(model.support_max, price)
-    if unit < _UNITS:
-        threshold, starts = np.uint64(unit << 11), range(0, M, _CHUNK)
-    else:  # no valuation can reach the price
-        threshold, starts = None, ()
     counts = np.zeros(trials, dtype=np.int64)
-    for t, rng in zip(range(trials), rngs):  # takes no generator past the last
-        draw = rng.bit_generator.random_raw
-        for start in starts:
-            counts[t] += np.count_nonzero(draw(min(_CHUNK, M - start)) >= threshold)
+    if unit == _UNITS:  # no valuation can reach the price
+        return counts
+    threshold = np.uint64(unit << 11)
+    for t, bg in enumerate(_generators(first_seed, trials)):
+        for start in range(0, M, _CHUNK):
+            raw = bg.random_raw(min(_CHUNK, M - start))
+            counts[t] += np.count_nonzero(raw >= threshold)
     return counts

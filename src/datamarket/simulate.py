@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .auction import optimal_price, sale_profit
-from .market import (ValuationModel, _count_buyers, _generators, data_cost,
-                     valuation_cdf)
+from .market import ValuationModel, _count_buyers, data_cost, valuation_cdf
 from .optimize import expected_profit, grid, optimal_data_size
 from .scenario import ScenarioConfig
 
@@ -76,16 +75,16 @@ class SweepResultRow:
     empirical_std: float
 
 
-def _monte_carlo(params, curve, q, price, rngs, trials):
+def _monte_carlo(params, curve, q, price, first_seed, trials):
     """Mean and sample std of the profits n_winners*price - k*q of q-unit sales.
 
-    Trial t draws M valuations on [0, gamma*r(q)] from the t-th of the next
-    trials generators of rngs; every customer valued at or above the price
-    buys.  The std of one trial is 0; an overflow is a ValueError.
+    Trial t draws M valuations on [0, gamma*r(q)] with seed first_seed + t;
+    every customer valued at or above the price buys.  The std of one trial
+    is 0; an overflow is a ValueError.
     """
     model = ValuationModel.from_market(curve, q, params.gamma)
     cost = data_cost(q, params.k)
-    counts = _count_buyers(params.M, model, price, rngs, trials)
+    counts = _count_buyers(params.M, model, price, first_seed, trials)
     with np.errstate(over="ignore"):  # the check below reports an overflow
         profits = sale_profit(counts, price, cost)
         mean = float(profits.mean())
@@ -128,8 +127,7 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
     params, curve, q = config.market, config.curve, config.q
     price = optimal_price(curve, q, params.gamma)
     analytic = expected_profit(q, params, curve)
-    rngs = _generators(config.seed, config.trials)
-    mean, std = _monte_carlo(params, curve, q, price, rngs, config.trials)
+    mean, std = _monte_carlo(params, curve, q, price, config.seed, config.trials)
     se = std / math.sqrt(config.trials)
     return SimulationReport(
         M=params.M,
@@ -189,8 +187,7 @@ def sweep(
         raise ScenarioError(exc) from None
 
     rows: list[SweepResultRow] = []
-    rngs = _generators(config.seed, steps * config.trials)  # row by row, in order
-    for value in values:
+    for row, value in enumerate(values):
         market = params
         if parameter == "price":
             price = value
@@ -204,11 +201,10 @@ def sweep(
             report = optimal_data_size(market, curve)
             if report.rejected:
                 rows.append(SweepResultRow(value, 0.0, 0.0, 0.0, 0.0, 0.0))
-                for _ in zip(range(config.trials), rngs):  # skip the row's seeds
-                    pass
                 continue
             q, price = report.q_star, report.price_at_q_star
             columns = (report.expected_profit_at_q_star, price, q)
-        mean, std = _monte_carlo(market, curve, q, price, rngs, config.trials)
+        mean, std = _monte_carlo(market, curve, q, price,
+                                 config.seed + row * config.trials, config.trials)
         rows.append(SweepResultRow(value, *columns, mean, std))
     return rows

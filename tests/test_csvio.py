@@ -330,7 +330,7 @@ def test_a_field_at_the_csv_size_limit_is_taken_and_one_past_it_refused(
         reader(path)
 
 
-# _fits reads a file a MiB at a time: a comma-free run (a number, its line end
+# _scan reads a file a MiB at a time: a comma-free run (a number, its line end
 # and the next id) of exactly the limit, or one more, across the first MiB
 @pytest.mark.parametrize("extra, fits", [(0, True), (1, False)])
 def test_a_comma_free_run_is_measured_across_reads(tmp_path, extra, fits):
@@ -342,9 +342,9 @@ def test_a_comma_free_run_is_measured_across_reads(tmp_path, extra, fits):
     assert path.stat().st_size - 4 - len(number) < 1 << 20 < path.stat().st_size - 4
     table = read_predictions(path)
     assert len(table) == len(rows) // 4 + 2
-    assert csvio._fits(path, table) is fits
+    assert csvio._scan(path)[0] is fits
     path.write_bytes(b"y_true,y_pred\n" + rows + b"2,1\x1c\n")
-    assert not csvio._fits(path, table)
+    assert not csvio._scan(path)[0]
 
 
 # np.loadtxt reads a path in large chunks, but numpy opens it otherwise than

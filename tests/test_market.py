@@ -1,5 +1,9 @@
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +21,9 @@ from datamarket import (
     valuation_cdf,
     virtual_valuation,
 )
+from datamarket import market
 from datamarket.market import (_BLOCK, _CHUNK, _UNITS, _count_buyers, _generators,
-                               _pcg64_states, _unit_threshold, require_positive)
+                               _seed_words, _unit_threshold, require_positive)
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
 
@@ -238,9 +243,10 @@ class TestSampleValuations:
             sample_valuations(5, model, seed=1), sample_valuations(5, model, seed=2)
         )
 
-    def test_zero_customers_rejected(self):
-        with pytest.raises(ValueError):
-            sample_valuations(0, ValuationModel(support_max=1.0), seed=0)
+    @pytest.mark.parametrize("M", [0, -1, 2.5, math.nan, math.inf])
+    def test_zero_customers_rejected(self, M):
+        with pytest.raises(ValueError, match=r"^M: "):
+            sample_valuations(M, ValuationModel(support_max=1.0), seed=0)
 
     def test_support_containment(self):
         model = ValuationModel(support_max=0.3)
@@ -274,28 +280,54 @@ class TestSeedingKernel:
 
     @pytest.mark.parametrize("seed", WORD_BOUNDARIES)
     def test_state_equals_default_rng(self, seed):
-        state = default_state(seed)
-        assert _pcg64_states(seed, 1) == [(state["state"]["state"], state["state"]["inc"])]
-        assert [rng.bit_generator.state for rng in _generators(seed, 1)] == [state]
+        words = _seed_words(seed, 1)
+        assert words.shape == (1, 4) and words.dtype == np.uint64
+        assert words[0].tolist() == np.random.SeedSequence(seed).generate_state(
+            4, np.uint64).tolist()
+        assert [bg.state for bg in _generators(seed, 1)] == [default_state(seed)]
 
     @pytest.mark.parametrize("n", [1, 48, _BLOCK + 48])
     @pytest.mark.parametrize("boundary", WORD_BOUNDARIES[1:])
     def test_runs_straddling_a_boundary(self, boundary, n):
         first = max(0, boundary - n // 2)
-        states = [rng.bit_generator.state for rng in _generators(first, n)]
+        states = [bg.state for bg in _generators(first, n)]
         assert states == [default_state(s) for s in range(first, first + n)]
 
     @pytest.mark.parametrize("first", [0, 2**64 + 5])
     def test_runs_past_one_block(self, first):
         n = 2 * _BLOCK + 48
-        states = [rng.bit_generator.state for rng in _generators(first, n)]
+        states = [bg.state for bg in _generators(first, n)]
         assert states == [default_state(s) for s in range(first, first + n)]
 
     @settings(deadline=None)
     @given(first_seed=st.integers(0, 2**140), n=st.integers(1, 48))
     def test_generators_match_default_rng(self, first_seed, n):
-        states = [rng.bit_generator.state for rng in _generators(first_seed, n)]
+        states = [bg.state for bg in _generators(first_seed, n)]
         assert states == [default_state(s) for s in range(first_seed, first_seed + n)]
+
+    def test_each_trial_has_its_own_generator(self):
+        first, second = _generators(7, 2)
+        first.random_raw(3)
+        assert second.state == default_state(8)
+
+    def test_a_cold_optimize_does_not_load_numpy_random(self):
+        # numpy.random takes about 15 ms to import, and only a run that draws
+        # needs it (numpy before 2.0 imports it with numpy itself)
+        code = ("import contextlib, io, sys, numpy\n"
+                "loaded = 'numpy.random' in sys.modules\n"
+                "from datamarket import taxi_scenario_path\n"
+                "from datamarket.cli import cli_main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli_main(['optimize', '--config', str(taxi_scenario_path())]) == 0\n"
+                "print(loaded, 'numpy.random' in sys.modules)\n")
+        src = str(Path(market.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded, after = proc.stdout.split()
+        assert after == loaded
 
 
 def replayed_count(M, model, price, seed):
@@ -303,9 +335,20 @@ def replayed_count(M, model, price, seed):
 
 
 def raw_count(M, model, price, seed):
-    rng = np.random.default_rng(seed)
-    (count,) = _count_buyers(M, model, price, [rng], 1).tolist()
-    return count, rng
+    """The count _count_buyers makes of the one trial of seed, and the bit
+    generator it drew from (None if it took none)."""
+    taken, generators = [], market._generators
+
+    def keeping(first_seed, n):
+        for bit_generator in generators(first_seed, n):
+            taken.append(bit_generator)
+            yield bit_generator
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "_generators", keeping)
+        (count,) = _count_buyers(M, model, price, seed, 1).tolist()
+    assert len(taken) <= 1
+    return count, (taken[0] if taken else None)
 
 
 def assert_least_unit(support, price):
@@ -338,11 +381,11 @@ class TestBuyerCount:
     def test_chunks_keep_the_stream(self, M):
         model = ValuationModel(support_max=0.7)
         price = float(np.median(sample_valuations(M, model, 5)))
-        count, rng = raw_count(M, model, price, 5)
+        count, bg = raw_count(M, model, price, 5)
         assert count == replayed_count(M, model, price, 5)
         replay = np.random.default_rng(5)
         replay.random(M)
-        assert rng.bit_generator.state == replay.bit_generator.state
+        assert bg.state == replay.bit_generator.state
 
     def test_a_draw_at_the_threshold_counts(self):
         # at support 1 raw output r gives exactly the valuation (r >> 11) / 2**53;
@@ -363,10 +406,10 @@ class TestBuyerCount:
         # no float-to-int overflow; a subnormal quotient falls back on bisection
         assert_least_unit(support, price)
         model = ValuationModel(support_max=support)
-        count, rng = raw_count(5, model, price, 9)
+        count, bg = raw_count(5, model, price, 9)
         assert count == replayed_count(5, model, price, 9)
         if _unit_threshold(support, price) == _UNITS:  # no valuation reaches the price
-            assert rng.bit_generator.state == default_state(9)
+            assert bg is None
 
     def test_a_normal_quotient_takes_four_probes(self):
         # each probe multiplies the support once; a blind bisection takes 54.
