@@ -20,7 +20,7 @@ import numpy as np
 
 from . import csvio
 from .auction import posted_price, sale_profit
-from .fitting import hit_rate, least_squares_fit
+from .fitting import _hit_rate, least_squares_fit
 from .market import data_cost, require_positive
 from .optimize import optimal_data_size
 from .scenario import load_scenario
@@ -60,7 +60,8 @@ def _cmd_fit(args):
 def _cmd_metric(args):
     require_positive("--tau", args.tau)
     records = csvio.read_predictions(args.predictions)
-    rate = hit_rate(records["y_true"], records["y_pred"], args.tau)
+    # read_predictions checked the columns: hit_rate would check them again
+    rate = _hit_rate(records["y_true"], records["y_pred"], args.tau)
     return {"satisfaction_rate": rate, "n_records": len(records), "tau": args.tau}, None
 
 
@@ -76,8 +77,11 @@ def _cmd_auction(args):
     summary = {"threshold_price": price, "winners": n_winners,
                "gross_profit": sale_profit(n_winners, price, cost)}
     header = ("customer_id", "bid", "allocation", "payment")
-    columns = (bids["customer_id"], bids["bid"], winners.astype(np.int8),
-               np.where(winners, price, 0.0))
+    # a row's (allocation, payment) is one of two: rendered once, picked by
+    # the mask as an index of rows (a bool index would select, not pick)
+    tails = np.array([("0", csvio.format_sig(0.0)), ("1", csvio.format_sig(price))],
+                     dtype=object)
+    columns = (bids["customer_id"], bids["bid"], *tails[winners.astype(np.intp)].T)
     return summary, lambda out: csvio.write_table(header, columns, out)
 
 

@@ -8,12 +8,19 @@ reads the file by its path, in large chunks, unless numpy would open the path
 otherwise than csv.reader reads the file: then it reads through a handle.  A
 file that call refuses or might take wrongly, that fails a check, or that is
 not a regular file (a pipe), is read row by row, to name the first faulty line
-or to return it.
+or to return it.  Ahead of the parse, _scan bounds the runs of bytes without
+a comma by csv.field_size_limit(), which np.loadtxt ignores, with bytes.find
+a MiB at a time; such a run holds every unquoted field, so only a file
+holding a '"' has its ids measured after the parse, by _fits.
 
 Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
 line ends), but _CHUNK_ROWS rows at a time through one %-template per table,
 with one write per chunk.  Every emitted float has the one number format,
-_FLOAT_SPEC: 6 significant digits, so outputs diff cleanly.
+_FLOAT_SPEC: 6 significant digits, so outputs diff cleanly.  A str column's
+cells are written as they are, quoted where csv.writer would quote them, so a
+caller whose column takes few values formats each value once: the auction
+table's allocation and payment cells are one of two pairs, ("0", "0") and
+("1", the price), picked per row from a 2-row table.
 """
 
 from __future__ import annotations
@@ -114,36 +121,52 @@ def _read_records(path, header: Sequence[str], record: Callable) -> list:
     return records
 
 
-def _scan(path) -> tuple[bool, bool]:
-    """(fit, quoted_cr): whether path's bytes fit csv.reader and float() as
-    np.loadtxt reads them, and whether path holds both '"' and '\r'.
+def _scan(path) -> tuple[bool, bool, bool]:
+    """(fit, quote, cr): whether path's bytes fit csv.reader and float() as
+    np.loadtxt reads them, and whether path holds a '"' and a '\r'.
 
     loadtxt ignores csv.field_size_limit() and skips _LOOSE_SPACE around a
     number, so neither may occur: no _LOOSE_SPACE byte, and no run of bytes
     without a comma over the limit (a number holds no comma, but may hold
-    newlines inside quotes).  path is read a MiB at a time.  Only a regular
-    file is read: any other, such as a pipe, can be read only once, so it
-    does not fit and is left to the row reader.
+    newlines inside quotes).  path is read a MiB at a time.  A run through a
+    block's ends is carried from its last comma to the next block's first.
+    From a block's first comma to its last, windows of limit // 2 + 1 bytes
+    are laid end to end: a run over the limit covers a whole one, so only
+    the run through a window without a comma is measured, with bytes.rfind
+    and find.  Only a regular file is read: any other, such as a pipe, can be
+    read only once, so it does not fit and is left to the row reader.
     """
     limit = csv.field_size_limit()
     if not stat.S_ISREG(os.stat(path).st_mode):
-        return False, False
-    last = end = -1  # the offsets of the last comma so far and of the last byte
+        return False, False, False
+    window = limit // 2 + 1
+    run = 0  # the comma-free bytes that end what is read so far
     quote = cr = False
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            commas = end + 1 + np.flatnonzero(np.frombuffer(block, np.uint8) == ord(","))
-            gap = np.diff(commas, prepend=last).max(initial=0)  # one more than a run
-            if gap > limit + 1 or any(map(block.__contains__, _LOOSE_SPACE)):
-                return False, False
+    block = bytearray(1 << 20)  # one buffer: a fresh MiB per read costs more than the scan
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            del block[size:]  # a short read: only the bytes it read
+            first, last = block.find(b","), block.rfind(b",")
+            if first < 0:
+                run += len(block)
+            elif run + first > limit:
+                return False, False, False
+            else:
+                run = len(block) - last - 1
+            if run > limit or any(map(block.__contains__, _LOOSE_SPACE)):
+                return False, False, False
+            for start in range(first + 1, last, window):  # the windows between them
+                if block.find(b",", start, start + window) < 0:
+                    if block.find(b",", start) - block.rfind(b",", 0, start) > limit + 1:
+                        return False, False, False
             quote, cr = quote or b'"' in block, cr or b"\r" in block
-            last, end = int(commas[-1]) if len(commas) else last, end + len(block)
-    return end - last <= limit, quote and cr
+    return True, quote, cr
 
 
 def _fits(table: np.ndarray) -> bool:
     """Whether csv.reader takes the ids np.loadtxt read into table: none may be
-    over csv.field_size_limit(), which loadtxt ignores (_scan checks the bytes)."""
+    over csv.field_size_limit(), which loadtxt ignores.  Only a quoted id can
+    be: an unquoted one lies inside a comma-free run, which _scan bounds."""
     limit = csv.field_size_limit()
     ids = (table[name].tolist() for name in table.dtype.names
            if table[name].dtype == object)
@@ -156,11 +179,11 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
 
     One np.loadtxt call parses the file in C.  A file whose bytes fail _scan,
     that call refuses, whose header is not one unquoted line, whose columns
-    (in header order) check raises a ValueError for, or that fails _fits, is
-    read by _read_records with record (it checks one row and returns its
-    fields as a tuple in header order): that raises the first fault in file
-    order as path:line, or returns the rows of the table np.loadtxt would
-    have made.
+    (in header order) check raises a ValueError for, or that holds a '"' and
+    fails _fits, is read by _read_records with record (it checks one row and
+    returns its fields as a tuple in header order): that raises the first
+    fault in file order as path:line, or returns the rows of the table
+    np.loadtxt would have made.
 
     np.loadtxt reads a path in large chunks but a handle line by line, so it
     is given the path, with "./" ahead of a relative one so that numpy reads
@@ -171,10 +194,10 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
     that the header was read from.
     """
     dtype = np.dtype(list(zip(header, kinds)))
-    fit, quoted_cr = _scan(path)
+    fit, quote, cr = _scan(path)
     if fit:  # else only the row reader opens path: a pipe can be read only once
         name = os.path.join(os.curdir, os.fsdecode(path))
-        by_path = not quoted_cr and os.path.splitext(name)[1] not in _COMPRESSED
+        by_path = not (quote and cr) and os.path.splitext(name)[1] not in _COMPRESSED
         try:
             with (open(path, newline="", encoding="utf-8") as fh,
                   warnings.catch_warnings()):
@@ -186,7 +209,7 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
                                        ndmin=1, skiprows=1, encoding="utf-8")
                     if len(table):
                         check(*(table[field] for field in header))
-                        if _fits(table):
+                        if not quote or _fits(table):
                             return table
         except ValueError:  # any fault; UnicodeDecodeError is a ValueError
             pass

@@ -72,6 +72,12 @@ def hit_rate(y_true: np.ndarray, y_pred: np.ndarray, tau: float) -> float:
     if len(y_true) == 0:
         raise ValueError("records must be non-empty")
     require_positive("tolerance", tau)
+    return _hit_rate(y_true, y_pred, tau)
+
+
+def _hit_rate(y_true: np.ndarray, y_pred: np.ndarray, tau: float) -> float:
+    """hit_rate on checked inputs: aligned non-empty float arrays of finite
+    pairs, and tau positive and finite."""
     with np.errstate(over="ignore"):  # an infinite error is simply no hit
         hits = np.count_nonzero(np.abs(y_true - y_pred) < tau)
     return hits / len(y_true)

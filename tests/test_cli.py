@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import datamarket
 from datamarket import cli, csvio, taxi_scenario_path
@@ -138,6 +140,51 @@ class TestAuction:
         assert f"error: {config}: scenario field q:" in capsys.readouterr().err
 
 
+# the auction table as csv.writer writes the paper's posted-price sale of each
+# row: a bid at or over the price s/2 wins and pays it, any other pays 0
+SUPPORT = datamarket.parse_scenario(SCENARIO).model().support_max
+PRICE = SUPPORT / 2
+# ids that csv.writer quotes, and bids at the price, beside it and above the support
+IDS = st.text(st.sampled_from('a7 ,"\r\né'), min_size=1, max_size=4)
+BIDS = st.one_of(
+    st.sampled_from([0.0, PRICE, math.nextafter(PRICE, 0.0), math.nextafter(PRICE, 2.0),
+                     SUPPORT, 2 * SUPPORT]),
+    st.floats(0.0, 3 * SUPPORT))
+
+
+def auction_table(rows):
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["customer_id", "bid", "allocation", "payment"])
+    for cid, bid in rows:
+        wins = bid >= PRICE
+        writer.writerow([cid, csvio.format_sig(bid), int(wins),
+                         csvio.format_sig(PRICE if wins else 0.0)])
+    return text.getvalue().encode()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(rows=[("a", 0.0)])
+@example(rows=[("a", PRICE)])
+@example(rows=[("a", 0.1), ("b", 0.2), ("c", 0.0)])
+@example(rows=[("a", PRICE), ("b", 2 * SUPPORT), ("c", SUPPORT)])
+@example(rows=[("a,b", PRICE), ('"', 0.0), ("\r", 1.0), ("\n", 0.25), ("\r\n", PRICE)])
+@example(rows=[("a", 1.0), ("b", 0.0)])
+@given(rows=st.lists(st.tuples(IDS, BIDS), min_size=1, max_size=12,
+                     unique_by=lambda row: row[0]))
+def test_auction_table_is_csv_writers(tmp_path, scenario_file, rows):
+    bids, table = tmp_path / "bids.csv", tmp_path / "table.csv"
+    with open(bids, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["customer_id", "bid"])
+        writer.writerows((cid, repr(bid)) for cid, bid in rows)
+    argv = ["auction", "--bids", str(bids), "--config", scenario_file, "--out", str(table)]
+    with redirect_stdout(io.StringIO()):
+        assert cli_main(argv) == 0
+    assert table.read_bytes() == auction_table(rows)
+
+
 class TestColumnPath:
     """auction, fit and metric run the array cores on the columns the readers
     return: a valid file is not read again row by row."""
@@ -246,6 +293,19 @@ class TestSimulate:
         first = capsys.readouterr().out
         assert cli_main(["simulate", "--config", scenario_file]) == 0
         assert capsys.readouterr().out != first
+
+    def test_a_run_at_the_draw_and_trial_bounds_is_taken(self, tmp_path):
+        # M x trials = MAX_DRAWS and trials = MAX_TRIALS: one row, checked
+        # without running it; one trial more is refused
+        config = tmp_path / "bound.cfg"
+        config.write_text(SCENARIO.replace("M = 300", "M = 100"), encoding="utf-8")
+        parser = cli.build_parser()
+        args = parser.parse_args(["simulate", "--config", str(config),
+                                  "--trials", "1000000"])
+        assert cli._monte_carlo_config(args).trials == 10**6
+        args.trials += 1
+        with pytest.raises(ValueError, match=r"^--trials: "):
+            cli._monte_carlo_config(args)
 
 
 class TestSweep:

@@ -179,7 +179,7 @@ def read(reader, path):
 def read_rows(reader, path):
     """What the row-by-row reader alone makes of path: (table, None) or
     (None, message)."""
-    with mock.patch.object(csvio, "_fits", lambda *args: False):
+    with mock.patch.object(csvio, "_scan", lambda path: (False, False, False)):
         return read(reader, path)
 
 
@@ -345,6 +345,94 @@ def test_a_comma_free_run_is_measured_across_reads(tmp_path, extra, fits):
     assert csvio._scan(path)[0] is fits
     path.write_bytes(b"y_true,y_pred\n" + rows + b"2,1\x1c\n")
     assert not csvio._scan(path)[0]
+
+
+@pytest.fixture
+def set_limit():
+    """csv.field_size_limit, which the test may call to set the limit: the
+    limit is restored after the test."""
+    old = csv.field_size_limit()
+    yield csv.field_size_limit
+    csv.field_size_limit(old)
+
+
+@pytest.fixture(params=[None, 1, 2, 7], ids=("default", "1", "2", "7"))
+def field_limit(request, set_limit):
+    """csv.field_size_limit(): as it is, or set to a small value for the test."""
+    if request.param is not None:
+        set_limit(request.param)
+    return csv.field_size_limit()
+
+
+def window_of(limit):
+    """The size of the windows _scan looks for commas in."""
+    return limit // 2 + 1
+
+
+def comma_run(size, offset, length):
+    """size bytes of commas, but for a comma-free run of length bytes at offset."""
+    data = bytearray(b"," * size)
+    data[offset:offset + length] = b"9" * length
+    return bytes(data)
+
+
+# a comma-free run of the limit fits, and one of one more does not, wherever it
+# lies against _scan's windows: here all inside the first MiB, between commas
+@pytest.mark.parametrize("extra, fits", [(0, True), (1, False)])
+def test_a_comma_free_run_in_one_block_is_measured(tmp_path, field_limit, extra, fits):
+    window, length = window_of(field_limit), field_limit + extra
+    path = tmp_path / "runs.bin"
+    for offset in (window - 1, window, 2 * window - 1):
+        path.write_bytes(comma_run(offset + length + 2 * window, offset, length))
+        assert csvio._scan(path)[0] is fits, offset
+
+
+# every offset against the windows: a window one byte too wide misses a run
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 7, 8])
+def test_a_comma_free_run_is_found_at_every_offset(tmp_path, set_limit, limit):
+    set_limit(limit)
+    path = tmp_path / "runs.bin"
+    for offset in range(4 * window_of(limit)):
+        for extra, fits in ((0, True), (1, False)):
+            path.write_bytes(comma_run(offset + limit + 8, offset, limit + extra))
+            assert csvio._scan(path)[0] is fits, (offset, extra)
+
+
+# a run ending on the first MiB's last byte, then a comma or the end of the file
+@pytest.mark.parametrize("tail", [b",", b""], ids=("comma", "end"))
+@pytest.mark.parametrize("extra, fits", [(0, True), (1, False)])
+def test_a_comma_free_run_ending_a_block_is_measured(tmp_path, field_limit, tail,
+                                                     extra, fits):
+    length = field_limit + extra
+    path = tmp_path / "runs.bin"
+    path.write_bytes(comma_run(1 << 20, (1 << 20) - length, length) + tail)
+    assert csvio._scan(path)[0] is fits
+
+
+# an id in quotes may hold commas, so no comma-free run bounds it: _fits
+# measures it after the parse, and one over the limit goes to the row reader
+@pytest.mark.parametrize("limit", [16, None], ids=("16", "default"))
+def test_a_quoted_id_over_the_limit_is_refused_by_the_row_reader(tmp_path, set_limit,
+                                                                 limit):
+    if limit is not None:
+        set_limit(limit)
+    limit = csv.field_size_limit()
+    path = tmp_path / "ids.csv"
+    path.write_bytes(b'customer_id,bid\na,1\n"' + b"b," * (limit // 2 + 1) + b'",1\n')
+    with pytest.raises(ValueError, match=rf"ids\.csv:3: field larger than field "
+                                         rf"limit \({limit}\)"):
+        read_bids(path)
+
+
+def test_a_file_without_quotes_skips_fits(tmp_path):
+    path = tmp_path / "bids.csv"
+    path.write_bytes(b"customer_id,bid\na,1\nb,0.5\n")
+    with mock.patch.object(csvio, "_fits", side_effect=AssertionError("_fits ran")):
+        assert len(c_pass_only(read_bids, path)) == 2
+    path.write_bytes(b'customer_id,bid\n"a",1\nb,0.5\n')
+    with mock.patch.object(csvio, "_fits", return_value=False) as fits:
+        assert len(read_bids(path)) == 2
+    fits.assert_called_once()
 
 
 # np.loadtxt reads a path in large chunks, but numpy opens it otherwise than
