@@ -4,14 +4,13 @@ All files are UTF-8 with a mandatory header row and `.` as decimal separator.
 A reader returns a numpy structured array with one field per header name and
 one element per data row, parsed in C by one np.loadtxt call, after checking
 whole columns with the checks of the array cores that take them.  That call
-reads the file by its path, in large chunks, unless numpy would open the path
-otherwise than csv.reader reads the file: then it reads through a handle.  A
-file that call refuses or might take wrongly, that fails a check, or that is
-not a regular file (a pipe), is read row by row, to name the first faulty line
-or to return it.  Ahead of the parse, _scan bounds the runs of bytes without
-a comma by csv.field_size_limit(), which np.loadtxt ignores, with bytes.find
-a MiB at a time; such a run holds every unquoted field, so only a file
-holding a '"' has its ids measured after the parse, by _fits.
+reads the file by its path, in large chunks.  A file that call refuses or
+might take wrongly, that fails a check, that holds a '"', whose name ends in
+a suffix numpy decompresses, or that is not a regular file (a pipe), is read
+row by row, to name the first faulty line or to return it.  Ahead of the
+parse, _scan bounds the runs of bytes without a comma by
+csv.field_size_limit(), which np.loadtxt ignores, with bytes.find a MiB at a
+time; in a file without quotes, such a run holds every field.
 
 Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
 line ends), but _CHUNK_ROWS rows at a time through one %-template per table,
@@ -70,8 +69,10 @@ _CHUNK_ROWS = 1024
 _FLOAT_SPEC = ".6g"
 # characters that make csv.writer (QUOTE_MINIMAL, "\r\n" line ends) quote a cell
 _SPECIAL = (",", '"', "\r", "\n")
-# bytes np.loadtxt skips as whitespace around a number, and float() refuses
-_LOOSE_SPACE = b"\x1c\x1d\x1e\x1f"
+# bytes the C pass refuses: a quote, which would let a field hold commas and
+# line ends, and the bytes np.loadtxt skips as whitespace around a number but
+# float() refuses
+_REFUSED = b'"\x1c\x1d\x1e\x1f'
 # the suffixes of the files np.loadtxt, given a path, opens through a decompressor
 _COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
 
@@ -121,27 +122,26 @@ def _read_records(path, header: Sequence[str], record: Callable) -> list:
     return records
 
 
-def _scan(path) -> tuple[bool, bool, bool]:
-    """(fit, quote, cr): whether path's bytes fit csv.reader and float() as
-    np.loadtxt reads them, and whether path holds a '"' and a '\r'.
+def _scan(path) -> bool:
+    """Whether path's bytes fit csv.reader and float() as np.loadtxt reads them.
 
-    loadtxt ignores csv.field_size_limit() and skips _LOOSE_SPACE around a
-    number, so neither may occur: no _LOOSE_SPACE byte, and no run of bytes
-    without a comma over the limit (a number holds no comma, but may hold
-    newlines inside quotes).  path is read a MiB at a time.  A run through a
-    block's ends is carried from its last comma to the next block's first.
-    From a block's first comma to its last, windows of limit // 2 + 1 bytes
-    are laid end to end: a run over the limit covers a whole one, so only
-    the run through a window without a comma is measured, with bytes.rfind
-    and find.  Only a regular file is read: any other, such as a pipe, can be
-    read only once, so it does not fit and is left to the row reader.
+    loadtxt ignores csv.field_size_limit() and skips some bytes around a
+    number, and the C pass reads no quotes, so no _REFUSED byte may occur,
+    nor any run of bytes without a comma over the limit: with no quotes,
+    every field lies inside such a run.  path is read a MiB at a time.  A
+    run through a block's ends is carried from its last comma to the next
+    block's first.  From a block's first comma to its last, windows of
+    limit // 2 + 1 bytes are laid end to end: a run over the limit covers a
+    whole one, so only the run through a window without a comma is measured,
+    with bytes.rfind and find.  Only a regular file is read: any other, such
+    as a pipe, can be read only once, so it does not fit and is left to the
+    row reader.
     """
     limit = csv.field_size_limit()
     if not stat.S_ISREG(os.stat(path).st_mode):
-        return False, False, False
+        return False
     window = limit // 2 + 1
     run = 0  # the comma-free bytes that end what is read so far
-    quote = cr = False
     block = bytearray(1 << 20)  # one buffer: a fresh MiB per read costs more than the scan
     with open(path, "rb", buffering=0) as fh:
         while size := fh.readinto(block):
@@ -150,67 +150,50 @@ def _scan(path) -> tuple[bool, bool, bool]:
             if first < 0:
                 run += len(block)
             elif run + first > limit:
-                return False, False, False
+                return False
             else:
                 run = len(block) - last - 1
-            if run > limit or any(map(block.__contains__, _LOOSE_SPACE)):
-                return False, False, False
+            if run > limit or any(map(block.__contains__, _REFUSED)):
+                return False
             for start in range(first + 1, last, window):  # the windows between them
                 if block.find(b",", start, start + window) < 0:
                     if block.find(b",", start) - block.rfind(b",", 0, start) > limit + 1:
-                        return False, False, False
-            quote, cr = quote or b'"' in block, cr or b"\r" in block
-    return True, quote, cr
-
-
-def _fits(table: np.ndarray) -> bool:
-    """Whether csv.reader takes the ids np.loadtxt read into table: none may be
-    over csv.field_size_limit(), which loadtxt ignores.  Only a quoted id can
-    be: an unquoted one lies inside a comma-free run, which _scan bounds."""
-    limit = csv.field_size_limit()
-    ids = (table[name].tolist() for name in table.dtype.names
-           if table[name].dtype == object)
-    return all(max(map(len, column), default=0) <= limit for column in ids)
+                        return False
+    return True
 
 
 def _read_table(path, header: Sequence[str], kinds: Sequence[type],
                 check: Callable, record: Callable) -> np.ndarray:
     """path's data rows as a structured array, once check takes its columns.
 
-    One np.loadtxt call parses the file in C.  A file whose bytes fail _scan,
-    that call refuses, whose header is not one unquoted line, whose columns
-    (in header order) check raises a ValueError for, or that holds a '"' and
-    fails _fits, is read by _read_records with record (it checks one row and
-    returns its fields as a tuple in header order): that raises the first
-    fault in file order as path:line, or returns the rows of the table
-    np.loadtxt would have made.
+    One np.loadtxt call parses the file in C.  A file named with a suffix in
+    _COMPRESSED (numpy would decompress it), whose bytes fail _scan, whose
+    first line is not the header, that call refuses, or whose columns (in
+    header order) check raises a ValueError for, is read by _read_records
+    with record (it checks one row and returns its fields as a tuple in
+    header order): that raises the first fault in file order as path:line,
+    or returns the rows of the table np.loadtxt would have made.  So the C
+    pass sees only unquoted fields, each inside a comma-free run that _scan
+    has bounded.
 
     np.loadtxt reads a path in large chunks but a handle line by line, so it
     is given the path, with "./" ahead of a relative one so that numpy reads
     no URL scheme into it (os.path.abspath would resolve "link/.." wrongly).
-    But numpy opens a path with universal newlines, which turn a quoted "\r"
-    into "\n", and decompresses it by its suffix: a file holding both '"'
-    and '\r', or named with a suffix in _COMPRESSED, is given as the handle
-    that the header was read from.
     """
     dtype = np.dtype(list(zip(header, kinds)))
-    fit, quote, cr = _scan(path)
-    if fit:  # else only the row reader opens path: a pipe can be read only once
-        name = os.path.join(os.curdir, os.fsdecode(path))
-        by_path = not (quote and cr) and os.path.splitext(name)[1] not in _COMPRESSED
+    name = os.path.join(os.curdir, os.fsdecode(path))
+    # a pipe fails _scan unread: it can be read only once, by the row reader
+    if os.path.splitext(name)[1] not in _COMPRESSED and _scan(path):
         try:
             with (open(path, newline="", encoding="utf-8") as fh,
                   warnings.catch_warnings()):
                 warnings.simplefilter("ignore")  # the UserWarning of a file with no rows
                 if [cell.strip() for cell in fh.readline().split(",")] == list(header):
-                    fh.seek(0)
-                    table = np.loadtxt(name if by_path else fh, dtype,
-                                       comments=None, delimiter=",", quotechar='"',
+                    table = np.loadtxt(name, dtype, comments=None, delimiter=",",
                                        ndmin=1, skiprows=1, encoding="utf-8")
                     if len(table):
                         check(*(table[field] for field in header))
-                        if not quote or _fits(table):
-                            return table
+                        return table
         except ValueError:  # any fault; UnicodeDecodeError is a ValueError
             pass
     return np.array(_read_records(path, header, record), dtype)

@@ -67,14 +67,16 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ValueError(f"scenario field {exc}") from None
         # performance plays the role of an accuracy-like rate even though the
-        # curve itself is never clamped; flag scenarios that leave [0, 1]
+        # curve itself is never clamped; flag scenarios that leave [0, 1].
+        # stacklevel 3 skips the __init__ that dataclass generates, and names
+        # the line that built the scenario
         if top > 1.0:
             warnings.warn(
                 f"performance exceeds 1 at the maximum data size N={self.N}",
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.a < 0.0:
-            warnings.warn("performance is negative at data size 1", stacklevel=2)
+            warnings.warn("performance is negative at data size 1", stacklevel=3)
 
     @property
     def market(self) -> MarketParams:

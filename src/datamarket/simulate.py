@@ -79,16 +79,20 @@ def _monte_carlo(params, curve, q, price, first_seed, trials):
     """Mean and sample std of the profits n_winners*price - k*q of q-unit sales.
 
     Trial t draws M valuations on [0, gamma*r(q)] with seed first_seed + t;
-    every customer valued at or above the price buys.  The std of one trial
-    is 0; an overflow is a ValueError.
+    every customer valued at or above the price buys.  When every trial
+    sells to the same number of buyers (one trial, or a price no one or
+    everyone pays), the mean is that one profit and the std 0: summing n
+    equal floats need not give either exactly.  An overflow is a ValueError.
     """
     model = ValuationModel.from_market(curve, q, params.gamma)
     cost = data_cost(q, params.k)
     counts = _count_buyers(params.M, model, price, first_seed, trials)
     with np.errstate(over="ignore"):  # the check below reports an overflow
         profits = sale_profit(counts, price, cost)
-        mean = float(profits.mean())
-        std = float(profits.std(ddof=1)) if trials > 1 else 0.0
+        if counts.min() == counts.max():
+            mean, std = float(profits[0]), 0.0
+        else:
+            mean, std = float(profits.mean()), float(profits.std(ddof=1))
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise ValueError(f"Monte-Carlo profit overflows: mean {mean}, std {std}")
     return mean, std

@@ -178,9 +178,12 @@ def read(reader, path):
 
 def read_rows(reader, path):
     """What the row-by-row reader alone makes of path: (table, None) or
-    (None, message)."""
-    with mock.patch.object(csvio, "_scan", lambda path: (False, False, False)):
-        return read(reader, path)
+    (None, message).  _scan's False must send path to the row reader."""
+    with (mock.patch.object(csvio, "_scan", return_value=False),
+          mock.patch.object(csvio, "_read_records", wraps=csvio._read_records) as rows):
+        result = read(reader, path)
+    rows.assert_called_once()
+    return result
 
 
 def assert_same_decision(reader, path):
@@ -283,20 +286,43 @@ def c_pass_only(reader, path):
         return reader(path)
 
 
-# files csv.reader and np.loadtxt part alike: quoted ids holding commas,
-# quotes and line ends, blank lines, padded numbers, any line end, one row
+def rows_only(reader, path):
+    """reader(path) with np.loadtxt switched off: the row reader must take it."""
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt ran")):
+        return reader(path)
+
+
+# files csv.reader and np.loadtxt part alike: blank lines, padded numbers, any
+# line end, one row
 @pytest.mark.parametrize("reader, data", [
-    (read_bids,
-     b'customer_id,bid\r\n"a,""b""\r\nc",0.5\r\n\r\n"ab"c, 1 \r\nd"e,"\n2\n"\r\n'),
     (read_bids, b"customer_id,bid\rid0,0.5\r\rid1,1\r"),
     (read_bids, b"customer_id,bid\nid0,0.5"),
     (read_predictions, b" y_true , y_pred \n\n-1e-300,\t1e300\n"),
-    (read_experiment_points, b'q,performance\n"\n1\n",0\n1e308,1\n'),
-], ids=("quoted-crlf", "bare-cr", "one-row", "padded", "multi-line"))
+], ids=("bare-cr", "one-row", "padded"))
 def test_the_c_pass_takes_what_the_row_reader_takes(tmp_path, reader, data):
     path = tmp_path / "plain.csv"
     path.write_bytes(data)
     assert len(c_pass_only(reader, path))
+    assert_same_decision(reader, path)
+
+
+# a '"' lets a field hold commas and line ends, which no comma-free run bounds,
+# so a file holding one is read by the row reader alone: quoted ids holding
+# commas, quotes and line ends, a quoted number spanning lines, a quote past
+# the first MiB, and quotes where csv.reader takes them as plain characters
+@pytest.mark.parametrize("reader, data", [
+    (read_bids,
+     b'customer_id,bid\r\n"a,""b""\r\nc",0.5\r\n\r\n"ab"c, 1 \r\nd"e,"\n2\n"\r\n'),
+    (read_experiment_points, b'q,performance\n"\n1\n",0\n1e308,1\n'),
+    (read_predictions, b"y_true,y_pred\n" + b"1,%s1\n" % (b" " * 100000) * 11
+     + b'"2",1\n'),
+    (read_bids, b'customer_id,bid\na"b,1\nc",0.5\n'),
+], ids=("quoted-crlf", "multi-line", "past-a-mib", "bare-quotes"))
+def test_a_file_holding_a_quote_never_reaches_loadtxt(tmp_path, reader, data):
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(data)
+    assert csvio._scan(path) is False
+    assert len(rows_only(reader, path))
     assert_same_decision(reader, path)
 
 
@@ -311,19 +337,24 @@ def test_finite_number_over_the_csv_size_limit_names_its_line(tmp_path, reader):
 
 
 # a field of exactly csv.field_size_limit() characters, and one of one more:
-# an id of commas, whose runs of comma-free bytes are short, and a number
-# ending the file, whose run of comma-free bytes is the number itself
-@pytest.mark.parametrize("reader, field, row, value", [
-    (read_bids, "customer_id", lambda n: b'"' + b"," * n + b'",1', lambda n: "," * n),
-    (read_predictions, "y_pred", lambda n: b"1," + b"0" * (n - 1) + b"1", lambda n: 1.0),
-], ids=("id", "number"))
+# a quoted id of commas, whose runs of comma-free bytes are short; an unquoted
+# id, whose run also holds the header's last field and line end, so only the
+# row reader takes it; and a number ending the file, whose run of comma-free
+# bytes is the number itself
+@pytest.mark.parametrize("reader, field, row, value, taken", [
+    (read_bids, "customer_id", lambda n: b'"' + b"," * n + b'",1', lambda n: "," * n,
+     rows_only),
+    (read_bids, "customer_id", lambda n: b"a" * n + b",1", lambda n: "a" * n, rows_only),
+    (read_predictions, "y_pred", lambda n: b"1," + b"0" * (n - 1) + b"1", lambda n: 1.0,
+     c_pass_only),
+], ids=("quoted-id", "id", "number"))
 def test_a_field_at_the_csv_size_limit_is_taken_and_one_past_it_refused(
-        tmp_path, reader, field, row, value):
+        tmp_path, reader, field, row, value, taken):
     limit = csv.field_size_limit()
     header = ",".join(READERS[reader]).encode()
     path = tmp_path / "limit.csv"
     path.write_bytes(header + b"\n" + row(limit))
-    assert c_pass_only(reader, path)[field].tolist() == [value(limit)]
+    assert taken(reader, path)[field].tolist() == [value(limit)]
     path.write_bytes(header + b"\n" + row(limit + 1))
     with pytest.raises(ValueError, match=rf"limit\.csv:2: field larger than field "
                                          rf"limit \({limit}\)"):
@@ -342,9 +373,9 @@ def test_a_comma_free_run_is_measured_across_reads(tmp_path, extra, fits):
     assert path.stat().st_size - 4 - len(number) < 1 << 20 < path.stat().st_size - 4
     table = read_predictions(path)
     assert len(table) == len(rows) // 4 + 2
-    assert csvio._scan(path)[0] is fits
+    assert csvio._scan(path) is fits
     path.write_bytes(b"y_true,y_pred\n" + rows + b"2,1\x1c\n")
-    assert not csvio._scan(path)[0]
+    assert not csvio._scan(path)
 
 
 @pytest.fixture
@@ -384,7 +415,7 @@ def test_a_comma_free_run_in_one_block_is_measured(tmp_path, field_limit, extra,
     path = tmp_path / "runs.bin"
     for offset in (window - 1, window, 2 * window - 1):
         path.write_bytes(comma_run(offset + length + 2 * window, offset, length))
-        assert csvio._scan(path)[0] is fits, offset
+        assert csvio._scan(path) is fits, offset
 
 
 # every offset against the windows: a window one byte too wide misses a run
@@ -395,7 +426,7 @@ def test_a_comma_free_run_is_found_at_every_offset(tmp_path, set_limit, limit):
     for offset in range(4 * window_of(limit)):
         for extra, fits in ((0, True), (1, False)):
             path.write_bytes(comma_run(offset + limit + 8, offset, limit + extra))
-            assert csvio._scan(path)[0] is fits, (offset, extra)
+            assert csvio._scan(path) is fits, (offset, extra)
 
 
 # a run ending on the first MiB's last byte, then a comma or the end of the file
@@ -406,11 +437,11 @@ def test_a_comma_free_run_ending_a_block_is_measured(tmp_path, field_limit, tail
     length = field_limit + extra
     path = tmp_path / "runs.bin"
     path.write_bytes(comma_run(1 << 20, (1 << 20) - length, length) + tail)
-    assert csvio._scan(path)[0] is fits
+    assert csvio._scan(path) is fits
 
 
-# an id in quotes may hold commas, so no comma-free run bounds it: _fits
-# measures it after the parse, and one over the limit goes to the row reader
+# an id in quotes may hold commas, so no comma-free run bounds it: the row
+# reader alone reads it, and refuses one over the limit
 @pytest.mark.parametrize("limit", [16, None], ids=("16", "default"))
 def test_a_quoted_id_over_the_limit_is_refused_by_the_row_reader(tmp_path, set_limit,
                                                                  limit):
@@ -424,42 +455,35 @@ def test_a_quoted_id_over_the_limit_is_refused_by_the_row_reader(tmp_path, set_l
         read_bids(path)
 
 
-def test_a_file_without_quotes_skips_fits(tmp_path):
-    path = tmp_path / "bids.csv"
-    path.write_bytes(b"customer_id,bid\na,1\nb,0.5\n")
-    with mock.patch.object(csvio, "_fits", side_effect=AssertionError("_fits ran")):
-        assert len(c_pass_only(read_bids, path)) == 2
-    path.write_bytes(b'customer_id,bid\n"a",1\nb,0.5\n')
-    with mock.patch.object(csvio, "_fits", return_value=False) as fits:
-        assert len(read_bids(path)) == 2
-    fits.assert_called_once()
-
-
 # np.loadtxt reads a path in large chunks, but numpy opens it otherwise than
-# csv.reader does: with universal newlines, by its suffix, and as a URL if it
-# looks like one.  Each file here must read as it does through a handle.
-BIDS = b'customer_id,bid\nc0,0.5\n"c,1",0.25\nc2,0\n'
+# csv.reader does: by its suffix, and as a URL if it looks like one.  Each
+# file here must read as it does through csv.reader.
+BIDS = b"customer_id,bid\nc0,0.5\nc1,0.25\nc2,0\n"
 
 
-@pytest.mark.parametrize("data, by_path", [
-    (b"customer_id,bid\nc0,0.5\nc1,1\n", True),
-    (b"customer_id,bid\r\nc0,0.5\r\nc1,1\r\n", True),
-    (b"customer_id,bid\rc0,0.5\rc1,1\r", True),
-    (BIDS, True),
-    (b'customer_id,bid\r\n"c,0",0.5\r\nc1,1\r\n', False),
-    (b'customer_id,bid\n"c\r0",0.5\nc1,1\n', False),
-    # the handle is read again from the header's first byte, not inside it
-    ('\u3000customer_id,bid\r\n"c,0",0.5\r\n'.encode(), False),
-], ids=("lf", "crlf", "cr", "quoted-lf", "quoted-crlf", "quoted-cr-in-id",
-        "wide-space-header"))
-def test_loadtxt_gets_the_path_unless_the_file_holds_quotes_and_cr(
-        tmp_path, data, by_path):
+# every file without quotes reaches np.loadtxt by its path, whatever its line
+# ends or the whitespace around its header; no file holding a '"' reaches it
+@pytest.mark.parametrize("data", [
+    b"customer_id,bid\nc0,0.5\nc1,1\n",
+    b"customer_id,bid\r\nc0,0.5\r\nc1,1\r\n",
+    b"customer_id,bid\rc0,0.5\rc1,1\r",
+    '\u3000customer_id,bid\r\nc0,0.5\r\n'.encode(),
+    b'customer_id,bid\nc0,0.5\n"c,1",0.25\nc2,0\n',
+    b'customer_id,bid\r\n"c,0",0.5\r\nc1,1\r\n',
+    b'customer_id,bid\n"c\r0",0.5\nc1,1\n',
+    '\u3000customer_id,bid\r\n"c,0",0.5\r\n'.encode(),
+], ids=("lf", "crlf", "cr", "wide-space-header", "quoted-lf", "quoted-crlf",
+        "quoted-cr-in-id", "quoted-wide-space-header"))
+def test_loadtxt_gets_the_path_of_every_file_without_quotes_and_no_other(
+        tmp_path, data):
     path = tmp_path / "bids.csv"
     path.write_bytes(data)
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-        c_pass_only(read_bids, path)
-    source = loadtxt.call_args.args[0]
-    assert source == str(path) if by_path else hasattr(source, "readline")
+        assert len(read_bids(path))
+    if b'"' in data:
+        loadtxt.assert_not_called()
+    else:
+        assert loadtxt.call_args.args[0] == str(path)
     assert_same_decision(read_bids, path)
 
 
@@ -469,7 +493,7 @@ def test_a_suffix_numpy_decompresses_is_read_as_plain_text(tmp_path, suffix, cap
     plain, named = tmp_path / "bids.csv", tmp_path / f"bids.csv{suffix}"
     plain.write_bytes(BIDS)
     named.write_bytes(BIDS)
-    assert c_pass_only(read_bids, named).tolist() == read_bids(plain).tolist()
+    assert rows_only(read_bids, named).tolist() == c_pass_only(read_bids, plain).tolist()
     assert_same_decision(read_bids, named)
     outputs = []
     for path in (plain, named):

@@ -152,10 +152,11 @@ class TestLeastSquaresFit:
             least_squares_fit(np.array([10.0, 10.0]), np.array([0.4, 0.6]))
 
     def test_nonpositive_slope_flagged_not_rejected(self):
-        with pytest.warns(UserWarning, match="not positive"):
+        with pytest.warns(UserWarning, match="not positive") as record:
             report = least_squares_fit(np.array([1.0, 10.0, 100.0]),
                                        np.array([0.8, 0.6, 0.4]))
         assert report.curve.b < 0
+        assert record[0].filename == __file__  # the warning names the caller's line
 
     def test_flat_slope_flagged(self):
         with pytest.warns(UserWarning, match="not positive"):

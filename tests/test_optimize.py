@@ -38,6 +38,11 @@ def profit_curve(params, curve):
 class TestExpectedProfit:
     def test_no_purchase_means_no_profit(self):
         assert expected_profit(0.0, TAXI_PARAMS, TAXI_CURVE) == 0.0
+        # r(q) is evaluated at q = 1 there and masked out: b*ln(1) = 0 adds
+        # nothing, so a + b*ln(q) cannot overflow (pytest turns a warning
+        # into an error)
+        huge = UtilityCurve(a=1.5e308, b=1e308)
+        assert expected_profit(0.0, MarketParams(M=1, k=1.0, gamma=1.0, N=10.0), huge) == 0.0
 
     def test_taxi_values(self):
         assert expected_profit(50.0, TAXI_PARAMS, TAXI_CURVE) == pytest.approx(
@@ -269,6 +274,9 @@ class TestGridArgmax:
     def test_non_finite_objective_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
             grid_argmax(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 10)
+        # the error names the first grid point where the objective is not finite
+        with pytest.raises(ValueError, match=r"not finite at 0\.5$"):
+            grid_argmax(lambda x: np.where(x < 0.5, x, np.inf), 0.0, 1.0, 11)
 
     def test_scalar_valued_objective_rejected(self):
         with pytest.raises(ValueError, match="whole grid"):

@@ -70,6 +70,12 @@ class TestParsing:
         with pytest.raises(ValueError, match="key = value"):
             parse_scenario("M 10\n")
 
+    def test_errors_name_their_line_counting_comments_and_blanks(self):
+        with pytest.raises(ValueError, match="^scenario line 1: expected 'key = value'"):
+            parse_scenario("M 10\n")
+        with pytest.raises(ValueError, match="^scenario line 3: unknown field 'x'"):
+            parse_scenario("# a comment\n\nx = 1\n")
+
 
 class TestValidation:
     def base(self, **overrides):
@@ -99,12 +105,14 @@ class TestValidation:
             ScenarioConfig(**self.base(seed=-1))
 
     def test_warns_when_performance_exceeds_one(self):
-        with pytest.warns(UserWarning, match="exceeds 1"):
+        with pytest.warns(UserWarning, match="exceeds 1") as record:
             ScenarioConfig(**self.base(a=0.99, b=0.01))
+        assert record[0].filename == __file__  # the line that built the scenario
 
     def test_warns_when_performance_negative_at_unit_size(self):
-        with pytest.warns(UserWarning, match="negative"):
+        with pytest.warns(UserWarning, match="negative") as record:
             ScenarioConfig(**self.base(a=-0.05))
+        assert record[0].filename == __file__
 
     def test_bounds_of_the_run_fields_are_accepted(self):
         config = ScenarioConfig(**self.base(trials=1, q=100.0))

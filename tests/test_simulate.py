@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -86,6 +87,14 @@ class TestSimulate:
         assert 3.0 * report.std_error < gap < 4.0 * report.std_error
         assert not report.within_three_se
 
+    def test_a_run_on_its_expectation_is_within_three_se(self):
+        # M = 2 at the price s/2: at seed 8 both trials sell to exactly one of
+        # the two customers, the expected count, so the gap and the se are 0
+        report = simulate(small_config(M=2, trials=2, seed=8))
+        assert report.empirical_mean == report.analytic_profit
+        assert report.std_error == 0.0
+        assert report.within_three_se
+
     def test_one_trial_has_no_spread(self):
         report = simulate(small_config(trials=1))
         assert report.empirical_std == report.std_error == 0.0
@@ -117,6 +126,36 @@ class TestSimulate:
             simulate(config)
         with pytest.raises(ValueError, match="Monte-Carlo profit overflows"):
             sweep(config, "gamma", 1.0, 1e303, 3)
+
+
+class TestExactLaw:
+    """empirical_mean and empirical_std against the exact law of the trials'
+    outcomes, not against a replay of the stream that made them."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 50])
+    @pytest.mark.parametrize("k, q", [(0.5, 50.0), (0.1, 3.0)], ids=("kq-25", "kq-0.3"))
+    def test_one_customer_std_is_the_two_point_sample_std(self, n, k, q):
+        # with M = 1 a trial's profit is p - kq or -kq, so w winners in n trials
+        # give the mean w*p/n - kq and the sample std p*sqrt(w(n-w)/(n(n-1)))
+        for seed in range(0, 200 * n, n):  # 200 runs on disjoint seeds
+            report = simulate(small_config(M=1, trials=n, seed=seed, k=k, q=q))
+            p = report.threshold_price
+            w = (report.empirical_mean + data_cost(q, k)) * n / p
+            assert abs(w - round(w)) <= 1e-6, (seed, w)
+            w = round(w)
+            exact = p * math.sqrt(w * (n - w) / (n * (n - 1)))
+            assert abs(report.empirical_std - exact) <= 1e-12 * exact, (seed, w)
+
+    @pytest.mark.parametrize("trials", [2, 3, 7, 20, 50])
+    @pytest.mark.parametrize("k, q", [(0.5, 50.0), (0.1, 1.0), (0.1, 3.0), (0.7, 3.0)])
+    def test_a_price_all_or_none_pay_has_no_spread(self, k, q, trials):
+        config = small_config(M=3, trials=trials, k=k, q=q)
+        s = config.model().support_max
+        rows = sweep(config, "price", 0.0, 2 * s, 9)
+        edge = [row for row in rows if row.value == 0.0 or row.value >= s]
+        assert rows[0].value == 0.0 and len(edge) >= 5
+        for row in edge:  # every valuation lies in [0, s): all buy at 0, none at s
+            assert (row.empirical_mean, row.empirical_std) == (-data_cost(q, k), 0.0)
 
 
 class TestDrawBound:
