@@ -7,10 +7,11 @@ whole columns with the checks of the array cores that take them.  That call
 reads the file by its path, in large chunks.  A file that call refuses or
 might take wrongly, that fails a check, that holds a '"', whose name ends in
 a suffix numpy decompresses, or that is not a regular file (a pipe), is read
-row by row, to name the first faulty line or to return it.  Ahead of the
-parse, _scan bounds the runs of bytes without a comma by
-csv.field_size_limit(), which np.loadtxt ignores, with bytes.find a MiB at a
-time; in a file without quotes, such a run holds every field.
+by csv.reader, which only parses: the same checks, on the rows ahead of its
+first parse fault, find the first faulty line by bisection.  Ahead of that,
+_scan bounds the runs of bytes without a comma by csv.field_size_limit(),
+which np.loadtxt ignores, with bytes.find a MiB at a time; in a file
+without quotes, such a run holds every field.
 
 Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
 line ends), but _CHUNK_ROWS rows at a time through one %-template per table,
@@ -25,7 +26,6 @@ table's allocation and payment cells are one of two pairs, ("0", "0") and
 from __future__ import annotations
 
 import csv
-import math
 import os
 import stat
 import warnings
@@ -39,7 +39,6 @@ import numpy as np
 
 from .auction import _checked_bids
 from .fitting import _checked_points, _checked_predictions
-from .market import require_positive
 from .simulate import SweepResultRow
 
 __all__ = [
@@ -92,34 +91,31 @@ def _opened(out: Destination):
         yield out
 
 
-def _read_records(path, header: Sequence[str], record: Callable) -> list:
-    """record(line, *fields) of every data row; its ValueError gets path:line.
-
-    line is the file line the row ends on, so lines inside quoted fields count.
-    """
+def _read_records(path, header: Sequence[str], kinds: Sequence[type]) -> tuple:
+    """(rows, lines, fault): path's data rows up to its first parse fault, as
+    tuples of _field values in header order; the file line each ends on, lines
+    in quoted fields counted; and that fault, naming path:line, else None: a
+    wrong header or field count, a bad number, a byte not UTF-8, a csv.Error
+    or no data rows."""
+    rows, lines = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first is None or [cell.strip() for cell in first] != list(header):
-                raise ValueError(f"{path}: expected header {','.join(header)!r}")
-            records = []
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    if len(row) != len(header):
-                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                    records.append(record(reader.line_num, *row))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                return rows, lines, ValueError(
+                    f"{path}: expected header {','.join(header)!r}")
+            for row in filter(None, reader):  # a blank line is an empty row
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                rows.append(tuple(map(_field, kinds, header, row)))
+                lines.append(reader.line_num)
     except UnicodeDecodeError as exc:  # raised while reading, ahead of any line
-        raise ValueError(f"{path}: {exc}") from None
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    if not records:
-        raise ValueError(f"{path}: no data rows after the header")
-    return records
+        return rows, lines, ValueError(f"{path}: {exc}")
+    except (ValueError, csv.Error) as exc:  # csv.Error: e.g. a field over the limit
+        return rows, lines, ValueError(f"{path}:{reader.line_num}: {exc}")
+    return rows, lines, None if rows else ValueError(
+        f"{path}: no data rows after the header")
 
 
 def _scan(path) -> bool:
@@ -163,18 +159,17 @@ def _scan(path) -> bool:
 
 
 def _read_table(path, header: Sequence[str], kinds: Sequence[type],
-                check: Callable, record: Callable) -> np.ndarray:
+                check: Callable) -> np.ndarray:
     """path's data rows as a structured array, once check takes its columns.
 
-    One np.loadtxt call parses the file in C.  A file named with a suffix in
-    _COMPRESSED (numpy would decompress it), whose bytes fail _scan, whose
-    first line is not the header, that call refuses, or whose columns (in
-    header order) check raises a ValueError for, is read by _read_records
-    with record (it checks one row and returns its fields as a tuple in
-    header order): that raises the first fault in file order as path:line,
-    or returns the rows of the table np.loadtxt would have made.  So the C
-    pass sees only unquoted fields, each inside a comma-free run that _scan
-    has bounded.
+    check(lines, *columns) raises a ValueError if columns (in header order)
+    break a rule; lines holds each row's file line, or is None.  One
+    np.loadtxt call parses the file in C.  A file with a suffix in _COMPRESSED,
+    whose bytes fail _scan, whose first line is not the header, or that call
+    or check refuses, is parsed by _read_records, and check judges its rows:
+    a rule fails on a prefix exactly when it fails on a row in it, so the
+    first faulty row, found by bisection, gets path:line in check's message
+    there.  If no row fails, the parse fault, if any, is raised.
 
     np.loadtxt reads a path in large chunks but a handle line by line, so it
     is given the path, with "./" ahead of a relative one so that numpy reads
@@ -192,18 +187,40 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
                     table = np.loadtxt(name, dtype, comments=None, delimiter=",",
                                        ndmin=1, skiprows=1, encoding="utf-8")
                     if len(table):
-                        check(*(table[field] for field in header))
+                        check(None, *(table[field] for field in header))
                         return table
         except ValueError:  # any fault; UnicodeDecodeError is a ValueError
             pass
-    return np.array(_read_records(path, header, record), dtype)
+    rows, lines, fault = _read_records(path, header, kinds)
+    table = np.array(rows, dtype)
+
+    def failure(n):  # check's ValueError on the first n rows, or None
+        try:
+            check(lines[:n], *(table[field][:n] for field in header))
+        except ValueError as exc:
+            return exc
+
+    lo, hi = 0, len(table)  # the first lo rows pass; the first hi fail with error
+    error = failure(hi)
+    while error is not None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (exc := failure(mid)) is None:
+            lo = mid
+        else:
+            hi, error = mid, exc
+    if error is not None:
+        raise ValueError(f"{path}:{lines[hi - 1]}: {error}")
+    if fault is not None:
+        raise fault
+    return table
 
 
-def _number(name: str, value: str) -> float:
+def _field(kind: type, name: str, cell: str):
+    """A CSV cell as a field of kind: a float parsed by float(), else the cell."""
     try:
-        return float(value)
+        return float(cell) if kind is float else cell
     except ValueError:
-        raise ValueError(f"field {name} must be a number, got {value!r}") from None
+        raise ValueError(f"field {name} must be a number, got {cell!r}") from None
 
 
 def read_bids(path) -> np.ndarray:
@@ -212,20 +229,15 @@ def read_bids(path) -> np.ndarray:
     Returns a structured array with the fields of BID_HEADER: customer_id
     (str objects, unique) and bid (float, finite and non-negative).
     """
-    first_line: dict[str, int] = {}
 
-    def bid(line, cid, value):
-        first = first_line.setdefault(cid, line)
-        if first != line:
-            raise ValueError(f"duplicate customer_id {cid!r}, first on line {first}")
-        return cid, require_positive("bid", _number("bid", value), True)
-
-    def check(ids, bids):
+    def check(lines, ids, bids):
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate customer_id")
+            cid = ids[-1]  # the repeat, on the shortest failing prefix
+            first = lines and lines[ids.tolist().index(cid)]  # lines: None in the C pass
+            raise ValueError(f"duplicate customer_id {cid!r}, first on line {first}")
         _checked_bids(bids)
 
-    return _read_table(path, BID_HEADER, (object, float), check, bid)
+    return _read_table(path, BID_HEADER, (object, float), check)
 
 
 def read_predictions(path) -> np.ndarray:
@@ -234,14 +246,8 @@ def read_predictions(path) -> np.ndarray:
     Returns a structured array with the float fields of PREDICTION_HEADER,
     all finite.
     """
-
-    def pair(_, y_true, y_pred):
-        y_true, y_pred = _number("y_true", y_true), _number("y_pred", y_pred)
-        if not (math.isfinite(y_true) and math.isfinite(y_pred)):
-            raise ValueError(f"prediction values must be finite, got ({y_true}, {y_pred})")
-        return y_true, y_pred
-
-    return _read_table(path, PREDICTION_HEADER, (float, float), _checked_predictions, pair)
+    return _read_table(path, PREDICTION_HEADER, (float, float),
+                       lambda _, *columns: _checked_predictions(*columns))
 
 
 def read_experiment_points(path) -> np.ndarray:
@@ -250,15 +256,8 @@ def read_experiment_points(path) -> np.ndarray:
     Returns a structured array with the float fields of POINT_HEADER: q
     finite and positive, performance in [0, 1].
     """
-
-    def point(_, q, alpha):
-        q, alpha = _number("q", q), _number("performance", alpha)
-        require_positive("data size", q)
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"performance must lie in [0, 1], got {alpha}")
-        return q, alpha
-
-    return _read_table(path, POINT_HEADER, (float, float), _checked_points, point)
+    return _read_table(path, POINT_HEADER, (float, float),
+                       lambda _, *columns: _checked_points(*columns))
 
 
 def _cells(column, start: int, stop: int) -> list:

@@ -90,13 +90,13 @@ class ValuationModel:
 def require_positive(name: str, value, allow_zero: bool = False):
     """value, checked to be finite and > 0 (>= 0), else a ValueError naming `name`.
 
-    A Python float or int is checked and returned as it is, with no numpy:
-    the CSV row reader's per-row checks call this.  A str, which numpy would
-    parse, fails there with a TypeError.  Anything else is returned as a float
-    array, checked on its one value if 0-d, else on its min and then its max;
-    both reductions propagate NaN, so a NaN anywhere fails.  An empty array
-    passes: both reductions start from 1.0, which passes every check, and a
-    value that fails one is below it, above it or NaN.
+    A Python float or int, such as a scenario field, a flag or a model
+    parameter, is checked and returned as it is, with no numpy.  A str, which
+    numpy would parse, fails that check with a TypeError.  Anything else is
+    returned as a float array, checked on its one value if 0-d, else on its
+    min and then its max; both reductions propagate NaN, so a NaN anywhere
+    fails.  An empty array passes: both reductions start from 1.0, which
+    passes every check, and a value that fails one is below it, above it or NaN.
     """
     if type(value) is float or type(value) is int or isinstance(value, str):
         if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):

@@ -26,14 +26,14 @@ __all__ = ["SimulationReport", "SweepResultRow", "SWEEP_PARAMETERS", "MAX_DRAWS"
 
 SWEEP_PARAMETERS = ("price", "q", "k", "gamma")
 # The most valuations one run may draw: M per trial, times trials per row,
-# times rows.  10**8 draws take about half a second.  It bounds time alone: a
-# trial holds at most a chunk of 65536 raw draws (0.5 MB) whatever M is.  The
-# largest benchmark command, a sweep of 100 rows of 100 trials of M = 10**4,
-# draws exactly 10**8.
+# times rows.  _count_buyers counts 10**8 (100 trials of M = 10**6) in 0.26 s,
+# min of 7 on a 2-vCPU Xeon.  It bounds time alone: a trial holds at most a
+# chunk of 65536 raw draws (0.5 MB) whatever M is.  The largest benchmark
+# command, a sweep of 100 rows of 100 trials of M = 10**4, draws exactly 10**8.
 MAX_DRAWS = 10**8
-# The most trials one run may make: trials per row, times rows.  A trial costs
-# about 5-10 us whatever M is, so 10**6 trials take up to about 10 s; the
-# largest benchmark command makes 10**4.
+# The most trials one run may make: trials per row, times rows.  A trial of
+# M = 1 costs _count_buyers 3.6 us (10**5 in 0.36 s, min of 7, same machine),
+# so its 10**6 trials take about 4 s; the largest benchmark command makes 10**4.
 MAX_TRIALS = 10**6
 
 

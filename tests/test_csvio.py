@@ -597,6 +597,64 @@ def test_first_of_two_faults_is_reported(tmp_path, reader, rows, second):
     assert_same_decision(reader, path)
 
 
+# a good row and a faulty one of each reader, formatted with a row number
+ROW_KINDS = {read_bids: (b"c%d,0.5", b"c%d,-1"), read_predictions: (b"%d,1", b"%d,nan"),
+             read_experiment_points: (b"%d,0.5", b"%d,1.5")}
+
+
+def numbered(reader, kinds):
+    """The bytes of a file for reader: its header, then row i of kind kinds[i],
+    numbered i + 1."""
+    header = ",".join(READERS[reader]).encode()
+    rows = [ROW_KINDS[reader][kind] % (i + 1) for i, kind in enumerate(kinds)]
+    return b"\n".join([header, *rows]) + b"\n"
+
+
+# the first faulty row ends the shortest failing prefix, wherever it lies and
+# whatever faulty rows follow it
+@pytest.mark.parametrize("reader", list(READERS), ids=("bids", "predictions", "points"))
+def test_the_first_faulty_row_is_named_at_every_position(tmp_path, reader):
+    path = tmp_path / "rows.csv"
+    for n in range(1, 10):
+        for first in range(n):
+            path.write_bytes(numbered(reader, [i >= first and (i - first) % 3 != 1
+                                               for i in range(n)]))
+            with pytest.raises(ValueError, match=rf"rows\.csv:{first + 2}: "):
+                reader(path)
+
+
+def test_a_repeated_id_names_both_lines_at_every_position(tmp_path):
+    path = tmp_path / "ids.csv"
+    for n in range(2, 9):
+        for repeat in range(1, n):
+            for first in range(repeat):
+                ids = [b"c%d" % i for i in range(n)]
+                ids[repeat] = ids[first]
+                ids[repeat + 1:] = [ids[0]] * (n - repeat - 1)  # later repeats
+                path.write_bytes(b"customer_id,bid\n" + b"".join(b"%s,1\n" % cid
+                                                                 for cid in ids))
+                with pytest.raises(ValueError, match=(
+                        rf"ids\.csv:{repeat + 2}: duplicate customer_id 'c{first}', "
+                        rf"first on line {first + 2}$")):
+                    read_bids(path)
+
+
+# on the failure path only: with n rows whose last is the only fault, the
+# column check runs once in the C pass, once on all rows, and once a halving
+@pytest.mark.parametrize("reader, core", [
+    (read_bids, "_checked_bids"), (read_predictions, "_checked_predictions"),
+    (read_experiment_points, "_checked_points"),
+], ids=("bids", "predictions", "points"))
+def test_the_bisection_runs_the_check_log_n_times(tmp_path, reader, core):
+    n = 10**4
+    path = tmp_path / "last.csv"
+    path.write_bytes(numbered(reader, [False] * (n - 1) + [True]))
+    with (mock.patch.object(csvio, core, wraps=getattr(csvio, core)) as check,
+          pytest.raises(ValueError, match=rf"last\.csv:{n + 1}: ")):
+        reader(path)
+    assert check.call_count <= math.ceil(math.log2(n)) + 2
+
+
 class TestWriteSweep:
     rows = [
         SweepResultRow(

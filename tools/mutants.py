@@ -39,7 +39,7 @@ TESTS = {
     "__init__": ["test_package.py"],
     "auction": ["test_auction.py", "test_acceptance.py"],
     "cli": ["test_cli.py", "test_fuzz.py"],
-    "csvio": ["test_csvio.py", "test_cli.py", "test_fuzz.py"],
+    "csvio": ["test_csvio.py", "test_cli.py", "test_fuzz.py", "test_refusal_corpus.py"],
     "fitting": ["test_fitting.py", "test_acceptance.py"],
     "market": ["test_market.py", "test_auction.py", "test_acceptance.py"],
     "optimize": ["test_optimize.py", "test_acceptance.py"],
