@@ -20,7 +20,7 @@ import numpy as np
 
 from . import csvio
 from .auction import posted_price, sale_profit
-from .fitting import _hit_rate, least_squares_fit
+from .fitting import hit_rate, least_squares_fit
 from .market import data_cost, require_positive
 from .optimize import optimal_data_size
 from .scenario import load_scenario
@@ -60,8 +60,7 @@ def _cmd_fit(args):
 def _cmd_metric(args):
     require_positive("--tau", args.tau)
     records = csvio.read_predictions(args.predictions)
-    # read_predictions checked the columns: hit_rate would check them again
-    rate = _hit_rate(records["y_true"], records["y_pred"], args.tau)
+    rate = hit_rate(records["y_true"], records["y_pred"], args.tau)
     return {"satisfaction_rate": rate, "n_records": len(records), "tau": args.tau}, None
 
 
@@ -185,8 +184,8 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except SystemExit as exc:  # argparse --help
-        return 0 if exc.code in (0, None) else int(exc.code)
+    except SystemExit:  # argparse --help; its usage errors raise _UsageError
+        return 0
     code, error = 0, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

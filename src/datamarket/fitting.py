@@ -1,8 +1,9 @@
 """Prediction-quality metric and least-squares fitting of the utility curve.
 
-Each function takes its records as aligned numpy arrays, one per field, and
-checks them: unequal lengths or a value out of range is a ValueError naming
-the field.
+Each function takes its records as aligned one-dimensional numpy arrays, one
+per field, and checks them: a column that is not one-dimensional, unequal
+lengths or a value out of range is a ValueError naming the field.  Only
+market.data_utility evaluates the curve a + b*ln(q).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import UtilityCurve, require_positive
+from .market import UtilityCurve, data_utility, require_positive
 
 __all__ = [
     "FitReport",
@@ -35,15 +36,17 @@ class FitReport:
     n_points: int
 
 
-def _require_equal_lengths(names: str, first, second) -> None:
-    if len(first) != len(second):
-        raise ValueError(
-            f"{names} must have equal lengths, got {len(first)} and {len(second)}")
+def _require_columns(names: str, first, second) -> None:
+    shape, other = np.shape(first), np.shape(second)
+    if len(shape) != 1 or len(other) != 1:
+        raise ValueError(f"{names} must be one-dimensional, got shapes {shape} and {other}")
+    if shape != other:
+        raise ValueError(f"{names} must have equal lengths, got {shape[0]} and {other[0]}")
 
 
 def _checked_predictions(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     """y_true and y_pred as aligned float arrays of finite pairs."""
-    _require_equal_lengths("y_true and y_pred", y_true, y_pred)
+    _require_columns("y_true and y_pred", y_true, y_pred)
     y_true, y_pred = np.asarray(y_true, dtype=float), np.asarray(y_pred, dtype=float)
     finite = np.isfinite(y_true) & np.isfinite(y_pred)
     if not finite.all():
@@ -55,7 +58,7 @@ def _checked_predictions(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_points(q, alpha) -> tuple[np.ndarray, np.ndarray]:
     """q and alpha as aligned float arrays: q finite and positive, alpha in [0, 1]."""
-    _require_equal_lengths("q and alpha", q, alpha)
+    _require_columns("q and alpha", q, alpha)
     q = require_positive("data size", q)
     alpha = np.asarray(alpha, dtype=float, order="C")  # copied as require_positive does
     # initial values in [0, 1] let an empty array pass; NaN propagates
@@ -72,12 +75,6 @@ def hit_rate(y_true: np.ndarray, y_pred: np.ndarray, tau: float) -> float:
     if len(y_true) == 0:
         raise ValueError("records must be non-empty")
     require_positive("tolerance", tau)
-    return _hit_rate(y_true, y_pred, tau)
-
-
-def _hit_rate(y_true: np.ndarray, y_pred: np.ndarray, tau: float) -> float:
-    """hit_rate on checked inputs: aligned non-empty float arrays of finite
-    pairs, and tau positive and finite."""
     with np.errstate(over="ignore"):  # an infinite error is simply no hit
         hits = np.count_nonzero(np.abs(y_true - y_pred) < tau)
     return hits / len(y_true)
@@ -104,7 +101,7 @@ def least_squares_fit(q: np.ndarray, alpha: np.ndarray) -> FitReport:
     if b <= 0:
         warnings.warn("fitted slope is not positive; profit optimization "
                       "will refuse this curve", stacklevel=2)
-    return FitReport(curve=curve, rmse=_rmse(curve, x, alpha), n_points=len(q))
+    return FitReport(curve=curve, rmse=evaluate_fit(curve, q, alpha), n_points=len(q))
 
 
 def evaluate_fit(curve: UtilityCurve, q: np.ndarray, alpha: np.ndarray) -> float:
@@ -113,10 +110,4 @@ def evaluate_fit(curve: UtilityCurve, q: np.ndarray, alpha: np.ndarray) -> float
     q, alpha = _checked_points(q, alpha)
     if len(q) == 0:
         raise ValueError("points must be non-empty")
-    return _rmse(curve, np.log(q), alpha)
-
-
-def _rmse(curve: UtilityCurve, x: np.ndarray, alpha: np.ndarray) -> float:
-    """Root-mean-square residual of alpha against the curve's a + b*x at
-    x = ln(q), on points already checked: data_utility's value, unchecked."""
-    return float(np.sqrt(np.mean(np.square(alpha - (curve.a + curve.b * x)))))
+    return float(np.sqrt(np.mean(np.square(alpha - data_utility(q, curve)))))

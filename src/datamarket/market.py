@@ -119,6 +119,14 @@ def _require_count(name: str, value) -> int:
     return int(value)
 
 
+def _require_integer(name: str, value) -> int:
+    """value as an int if operator.index takes it, else a ValueError naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: must be an integer, got {value!r}") from None
+
+
 def _unwrap(out):
     """A Python float for a scalar or 0-d result, else the array."""
     return out if getattr(out, "ndim", 0) else float(out)

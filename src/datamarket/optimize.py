@@ -12,6 +12,7 @@ from .auction import optimal_price
 from .market import (
     MarketParams,
     UtilityCurve,
+    _require_integer,
     _unwrap,
     data_cost,
     data_utility,
@@ -74,7 +75,6 @@ def optimal_data_size(params: MarketParams, curve: UtilityCurve) -> ProfitReport
     is the global maximizer there and the provider buys iff profit at it is
     strictly positive.
     """
-    require_positive("utility-curve slope b", curve.b)
     q_plus = params.M * params.gamma * curve.b / (4.0 * params.k)
     q_plus = min(q_plus, params.N)
     profit = expected_profit(q_plus, params, curve)
@@ -98,15 +98,15 @@ def concavity_check(params: MarketParams, curve: UtilityCurve, q: float) -> floa
 
 
 def grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    """steps evenly spaced points from lo to hi: finite bounds, lo < hi, steps >= 2."""
+    """steps evenly spaced points from lo to hi: finite lo < hi, integer steps >= 2."""
     for name, bound in (("lo", lo), ("hi", hi)):
         if not math.isfinite(bound):
             raise ValueError(f"grid bound {name} must be finite, got {bound}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
-    if steps < 2:
+    if _require_integer("grid steps", steps) < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
-    return np.linspace(lo, hi, int(steps))
+    return np.linspace(lo, hi, steps)
 
 
 def grid_argmax(

@@ -14,6 +14,7 @@ from .market import (
     MarketParams,
     UtilityCurve,
     ValuationModel,
+    _require_integer,
     data_utility,
     require_positive,
 )
@@ -52,13 +53,13 @@ class ScenarioConfig:
             MarketParams(M=self.M, k=self.k, gamma=self.gamma, N=self.N)
             UtilityCurve(a=self.a, b=self.b)
             require_positive("b", self.b)
-            if self.trials < 1:
+            if _require_integer("trials", self.trials) < 1:
                 raise ValueError(f"trials: must be >= 1, got {self.trials}")
             if self.q is not None and not 0 < self.q <= self.N:
                 raise ValueError(f"q: must lie in (0, {self.N}], got {self.q}")
             if self.tau is not None:
                 require_positive("tau", self.tau)
-            if self.seed < 0:
+            if _require_integer("seed", self.seed) < 0:
                 raise ValueError(f"seed: must be >= 0, got {self.seed}")
             with np.errstate(over="ignore"):  # the check below reports an overflow
                 top = data_utility(self.N, self.curve)

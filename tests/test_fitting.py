@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,21 @@ NAN, INF = float("nan"), float("inf")
 def with_errors(*errors):
     """Predictions (y_true, y_pred) of 100 off by each error."""
     return np.full(len(errors), 100.0), 100.0 + np.array(errors, dtype=float)
+
+
+# (first, second) shapes that are not two aligned columns; () is a Python float
+BAD_SHAPES = [((2, 1), (2,)), ((2,), (2, 1)), ((2, 2), (2, 2)), ((), ()), ((2,), ())]
+
+
+def shaped(shape, value):
+    """A column of shape holding value, or value itself for the shape ()."""
+    return np.full(shape, value) if shape else value
+
+
+def shape_error(names, shapes):
+    """A match for the error that names the fields and their shapes."""
+    message = f"{names} must be one-dimensional, got shapes {shapes[0]} and {shapes[1]}"
+    return f"^{re.escape(message)}$"
 
 
 def exact_points(curve, sizes):
@@ -69,6 +85,12 @@ class TestHitRateRefusesBadPairs:
     def test_unequal_lengths_refused(self, y_true, y_pred):
         with pytest.raises(ValueError, match="^y_true and y_pred must have equal lengths"):
             hit_rate(y_true, y_pred, 0.5)
+
+    @pytest.mark.parametrize("shapes", BAD_SHAPES)
+    def test_columns_must_be_one_dimensional(self, shapes):
+        # a (2, 1) column would broadcast against a (2,) one: 4 hits in 2 rows
+        with pytest.raises(ValueError, match=shape_error("y_true and y_pred", shapes)):
+            hit_rate(*(shaped(shape, 1.0) for shape in shapes), 0.1)
 
     @given(n=st.integers(1, 40), data=st.data())
     def test_one_bad_value_anywhere_is_refused(self, n, data):
@@ -218,6 +240,11 @@ class TestPointCoresRefuseBadPoints:
     def test_unequal_lengths_refused(self, core, q, alpha):
         with pytest.raises(ValueError, match="^q and alpha must have equal lengths"):
             core(q, alpha)
+
+    @pytest.mark.parametrize("shapes", BAD_SHAPES)
+    def test_columns_must_be_one_dimensional(self, core, shapes):
+        with pytest.raises(ValueError, match=shape_error("q and alpha", shapes)):
+            core(shaped(shapes[0], 10.0), shaped(shapes[1], 0.5))
 
     def test_values_on_the_bounds_are_accepted(self, core):
         # the smallest positive double, and performances exactly 0 and 1

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from datamarket import (
     optimal_price,
     valuation_cdf,
 )
+from datamarket.optimize import grid
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
 TAXI_PARAMS = MarketParams(M=10000, k=0.5, gamma=1.0, N=100.0)
@@ -102,6 +104,12 @@ class TestOptimalDataSize:
         assert report.price_at_q_star == optimal_price(
             TAXI_CURVE, report.q_star, TAXI_PARAMS.gamma
         )
+
+    @pytest.mark.parametrize("b", [0.0, -0.01, -1e300])
+    def test_nonpositive_slope_is_named(self, b):
+        message = f"utility-curve slope b: must be positive and finite, got {b}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimal_data_size(TAXI_PARAMS, UtilityCurve(a=0.5, b=b))
 
     def test_taxi_optimum_confirmed_by_grid_search(self):
         report = optimal_data_size(TAXI_PARAMS, TAXI_CURVE)
@@ -295,6 +303,15 @@ class TestGridArgmax:
 
     def test_two_points_are_a_grid(self):
         assert grid_argmax(lambda x: -x, 0.0, 1.0, 2) == (0.0, -0.0)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.7, 10.0, float("nan"), "10"])
+    def test_steps_must_be_an_integer(self, steps):
+        message = f"^{re.escape(f'grid steps: must be an integer, got {steps!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            grid(0.0, 1.0, steps)
+        with pytest.raises(ValueError, match=message):
+            grid_argmax(lambda x: x, -1.0, 1.0, steps)
+        assert len(grid(0.0, 1.0, np.int64(3))) == 3
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 import math
+import re
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from datamarket import (
@@ -103,6 +106,17 @@ class TestValidation:
                 ScenarioConfig(**self.base(tau=tau))
         with pytest.raises(ValueError, match="scenario field seed"):
             ScenarioConfig(**self.base(seed=-1))
+
+    @pytest.mark.parametrize("name", ["trials", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), 1.0, "3", None])
+    def test_counts_must_be_integers(self, name, bad):
+        message = f"scenario field {name}: must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(taxi_scenario(), **{name: bad})
+
+    @pytest.mark.parametrize("seed", [0, np.int64(5), 2**64, 2**200])
+    def test_seeds_of_any_size_are_taken(self, seed):
+        assert replace(taxi_scenario(), seed=seed).seed == seed
 
     def test_warns_when_performance_exceeds_one(self):
         with pytest.warns(UserWarning, match="exceeds 1") as record:

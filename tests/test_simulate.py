@@ -233,6 +233,8 @@ class TestSweepValidation:
             sweep(small_config(), "price", 1.0, 1.0, 10)
         with pytest.raises(ValueError, match="grid points"):
             sweep(small_config(), "price", 0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="^grid steps: must be an integer, got 2.5$"):
+            sweep(small_config(), "q", 1.0, 100.0, 2.5)
         with pytest.raises(ValueError, match="bound hi"):
             sweep(small_config(), "price", 0.0, float("inf"), 10)
 
