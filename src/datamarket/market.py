@@ -10,6 +10,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,8 +285,16 @@ def _generators(first_seed: int, n: int):
 # (r >> 11) / 2**53, so a valuation sample_valuations draws from r is
 # support_max * ((r >> 11) / 2**53); the trial loop counts buyers from r alone
 _UNITS = 2**53
-# the most raw outputs held at once: 0.5 MB, whatever M is
+# the most raw outputs a run holds at once: 0.5 MB, whatever M is and however
+# many threads count it
 _CHUNK = 65536
+# A run counts on several threads only where that was measured to win (an
+# alternating-call grid on a 2-vCPU VM, in CHANGES.md): at M >= _SPLIT_M
+# draws a trial and _SPLIT_DRAWS draws a thread or more.  Below them the work
+# each trial does while holding the GIL (seeding its generator, and taking the
+# GIL back after random_raw, the compare and the count) outweighs the second CPU.
+_SPLIT_M = 10_000
+_SPLIT_DRAWS = 1_500_000
 
 
 def _unit_threshold(support_max: float, price: float) -> int:
@@ -313,22 +323,73 @@ def _unit_threshold(support_max: float, price: float) -> int:
     return hi
 
 
-def _count_buyers(M: int, model: ValuationModel, price: float, first_seed: int,
-                  trials: int) -> np.ndarray:
-    """The buyers at price in each of trials markets of M customers: trial t
-    counts the valuations that sample_valuations(M, model, first_seed + t)
-    would draw at or above the price.
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
-    Each trial draws its raw outputs a chunk of at most _CHUNK at a time; if
-    no valuation can reach the price, nothing is drawn.
+
+def _parts(M: int, seeds: int) -> int:
+    """How many threads count a run of seeds trials of M draws each: one a
+    CPU, as long as each gets a trial and _SPLIT_DRAWS draws, and one only
+    below M = _SPLIT_M."""
+    if M < _SPLIT_M:
+        return 1
+    return max(1, min(_cpus(), seeds, M * seeds // _SPLIT_DRAWS))
+
+
+def _count_buyers(M: int, units, first_seed: int, trials: int) -> np.ndarray:
+    """The buyers in each trial of a run, as a (rows, trials) int64 array.
+
+    Row r sells at the price whose unit threshold (see _unit_threshold) is
+    units[r], and its trial t counts the valuations that
+    sample_valuations(M, model, first_seed + r * trials + t) would draw at or
+    above that price.  A row of threshold _UNITS, which no valuation reaches,
+    draws nothing and counts 0.
+
+    The drawn seeds are cut into _parts contiguous parts: the caller's thread
+    counts the first and one more thread each of the rest.  Each part draws
+    its raw outputs a chunk of at most _CHUNK // parts at a time, so the run
+    holds at most _CHUNK.  A fault in any part is raised here once every part
+    has stopped.
     """
-    unit = _unit_threshold(model.support_max, price)
-    counts = np.zeros(trials, dtype=np.int64)
-    if unit == _UNITS:  # no valuation can reach the price
-        return counts
-    threshold = np.uint64(unit << 11)
-    for t, bg in enumerate(_generators(first_seed, trials)):
-        for start in range(0, M, _CHUNK):
-            raw = bg.random_raw(min(_CHUNK, M - start))
-            counts[t] += np.count_nonzero(raw >= threshold)
+    counts = np.zeros((len(units), trials), dtype=np.int64)
+    drawing = [row for row, unit in enumerate(units) if unit < _UNITS]
+    # drawn seed j is trial j % trials of row drawing[j // trials]
+    seeds = len(drawing) * trials
+    parts = _parts(M, seeds)
+    bounds = [seeds * part // parts for part in range(parts + 1)]
+    chunk, faults = _CHUNK // parts, [None] * parts
+
+    def count(part):
+        start, stop = bounds[part], bounds[part + 1]
+        try:
+            while start < stop:
+                row, first = drawing[start // trials], start % trials
+                n = min(stop - start, trials - first)
+                threshold = np.uint64(units[row] << 11)
+                for t, bg in enumerate(_generators(first_seed + row * trials + first, n),
+                                       first):
+                    total = 0
+                    for begin in range(0, M, chunk):  # no chunk outlives its count
+                        total += np.count_nonzero(
+                            bg.random_raw(min(chunk, M - begin)) >= threshold)
+                    counts[row, t] = total
+                start += n
+        except Exception as exc:  # raised in the caller's thread
+            faults[part] = exc
+
+    threads = [threading.Thread(target=count, args=(part,)) for part in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    try:
+        count(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for fault in faults:
+        if fault is not None:
+            raise fault
     return counts

@@ -3,10 +3,11 @@
 simulate() replays the optimal posted-price sale on seeded valuation draws and
 compares realized profit with the analytic expectation.  sweep() tabulates
 analytic and simulated profit along a grid over one of {price, q, k, gamma},
-producing plot-ready rows.  Both run through the same trial loop, which
-builds each sale's valuation model and data cost from the market and the data
-size, and counts each trial's buyers from its raw draws a chunk at a time,
-with no per-customer objects and no array of M valuations.
+producing plot-ready rows.  Each builds its sales' valuation models and data
+costs from the market and the data size, then makes one count of the whole
+run's buyers (market._count_buyers), from raw draws a chunk at a time, with no
+per-customer objects and no array of M valuations; a large run is counted on
+every CPU.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .auction import optimal_price, sale_profit
-from .market import ValuationModel, _count_buyers, data_cost, valuation_cdf
+from .market import (_UNITS, ValuationModel, _count_buyers, _require_integer,
+                     _unit_threshold, data_cost, valuation_cdf)
 from .optimize import expected_profit, grid, optimal_data_size
 from .scenario import ScenarioConfig
 
@@ -26,14 +28,16 @@ __all__ = ["SimulationReport", "SweepResultRow", "SWEEP_PARAMETERS", "MAX_DRAWS"
 
 SWEEP_PARAMETERS = ("price", "q", "k", "gamma")
 # The most valuations one run may draw: M per trial, times trials per row,
-# times rows.  _count_buyers counts 10**8 (100 trials of M = 10**6) in 0.26 s,
-# min of 7 on a 2-vCPU Xeon.  It bounds time alone: a trial holds at most a
-# chunk of 65536 raw draws (0.5 MB) whatever M is.  The largest benchmark
+# times rows.  _count_buyers counts 10**8 (100 trials of M = 10**6) in 0.40 s
+# on one thread and 0.28 s split across two, min of 7 on a 2-vCPU Xeon.  It
+# bounds time alone: a run holds at most a chunk of 65536 raw draws (0.5 MB)
+# whatever M is and however many threads count it.  The largest benchmark
 # command, a sweep of 100 rows of 100 trials of M = 10**4, draws exactly 10**8.
 MAX_DRAWS = 10**8
 # The most trials one run may make: trials per row, times rows.  A trial of
-# M = 1 costs _count_buyers 3.6 us (10**5 in 0.36 s, min of 7, same machine),
-# so its 10**6 trials take about 4 s; the largest benchmark command makes 10**4.
+# M = 1 costs _count_buyers 7.3 us on one thread (10**5 in 0.73 s, min of 7,
+# same machine), and 10.2 us split across two, which a run of M = 1 never
+# is; so 10**6 trials take about 7 s.  The largest benchmark command makes 10**4.
 MAX_TRIALS = 10**6
 
 
@@ -75,18 +79,22 @@ class SweepResultRow:
     empirical_std: float
 
 
-def _monte_carlo(params, curve, q, price, first_seed, trials):
-    """Mean and sample std of the profits n_winners*price - k*q of q-unit sales.
-
-    Trial t draws M valuations on [0, gamma*r(q)] with seed first_seed + t;
-    every customer valued at or above the price buys.  When every trial
-    sells to the same number of buyers (one trial, or a price no one or
-    everyone pays), the mean is that one profit and the std 0: summing n
-    equal floats need not give either exactly.  An overflow is a ValueError.
-    """
+def _sale(params, curve, q, price):
+    """The data cost of a q-unit sale at price, and the price's unit threshold
+    for the sale's valuation model (see _count_buyers)."""
     model = ValuationModel.from_market(curve, q, params.gamma)
-    cost = data_cost(q, params.k)
-    counts = _count_buyers(params.M, model, price, first_seed, trials)
+    return data_cost(q, params.k), _unit_threshold(model.support_max, price)
+
+
+def _profit_stats(counts, price, cost):
+    """Mean and sample std of the profits n_winners*price - cost of the
+    trials that sold to counts buyers.
+
+    When every trial sells to the same number of buyers (one trial, or a
+    price no one or everyone pays), the mean is that one profit and the std
+    0: summing n equal floats need not give either exactly.  An overflow is a
+    ValueError.
+    """
     with np.errstate(over="ignore"):  # the check below reports an overflow
         profits = sale_profit(counts, price, cost)
         if counts.min() == counts.max():
@@ -103,9 +111,12 @@ def check_draws(M, trials, rows=1, names=("scenario field M", "scenario field tr
     """Refuse a run of more than MAX_DRAWS valuation draws or MAX_TRIALS
     trials, before it draws any.
 
-    The error names the first of M, trials and rows (their names in names)
-    that takes the product of it and those before it over a bound.
+    Each of M, trials and rows (their names in names) must be an integer,
+    and is checked to be one before any is multiplied.  The error names the
+    first that is not, or else the first that takes the product of it and
+    those before it over a bound.
     """
+    M, trials, rows = map(_require_integer, names, (M, trials, rows))
     for factors, product, unit, bound in (
             ((M, trials, rows), "M x trials x rows", "valuation draws", MAX_DRAWS),
             ((trials, rows), "trials x rows", "trials", MAX_TRIALS)):
@@ -127,11 +138,13 @@ def simulate(config: ScenarioConfig) -> SimulationReport:
     """
     if config.q is None:
         raise ValueError("scenario field q: required for simulation")
-    check_draws(config.M, config.trials)
     params, curve, q = config.market, config.curve, config.q
+    check_draws(params.M, config.trials)
     price = optimal_price(curve, q, params.gamma)
     analytic = expected_profit(q, params, curve)
-    mean, std = _monte_carlo(params, curve, q, price, config.seed, config.trials)
+    cost, unit = _sale(params, curve, q, price)
+    (counts,) = _count_buyers(params.M, [unit], config.seed, config.trials)
+    mean, std = _profit_stats(counts, price, cost)
     se = std / math.sqrt(config.trials)
     return SimulationReport(
         M=params.M,
@@ -163,15 +176,18 @@ def sweep(
     Row r, trial t draws with seed + r*trials + t, extending simulate()'s
     per-trial seeding scheme across grid rows; a rejected row draws nothing,
     and later rows keep their seeds.  A fault of the scenario alone, found
-    before any row, is a ScenarioError; any other is a plain ValueError.
+    before any row, is a ScenarioError; any other is a plain ValueError, and
+    of a row's faults the first in row order is raised.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
-    check_draws(config.M, config.trials, steps)
-    values = grid(lo, hi, steps).tolist()
     params, curve, q = config.market, config.curve, config.q
+    # grid's own check, made before the draw bound multiplies steps
+    steps = _require_integer("grid steps", steps)
+    check_draws(params.M, config.trials, steps)
+    values = grid(lo, hi, steps).tolist()
     if parameter == "price" and lo < 0:
         raise ValueError(f"price sweep needs lo >= 0, got {lo}")
     if parameter == "q" and not (lo > 0 and hi <= params.N):
@@ -190,25 +206,42 @@ def sweep(
     except ValueError as exc:
         raise ScenarioError(exc) from None
 
+    # every row's analytic columns, data cost and unit threshold, up to the
+    # first row that faults; the rows before it are counted at once, and its
+    # fault is raised after theirs, as a row-by-row loop would
+    plan, fault = [], None
+    for value in values:
+        try:
+            if parameter == "price":
+                price, sale = value, (cost, _unit_threshold(model.support_max, value))
+                analytic = params.M * (1.0 - valuation_cdf(price, model)) * price - cost
+                columns = (analytic, p_star, q_star)
+            elif parameter == "q":
+                q, price = value, optimal_price(curve, value, params.gamma)
+                columns = (expected_profit(q, params, curve), price, q_star)
+                sale = _sale(params, curve, q, price)
+            else:
+                market = replace(params, **{parameter: value})
+                report = optimal_data_size(market, curve)
+                # a rejected row buys, sells and draws nothing
+                columns, price, sale = None, None, (None, _UNITS)
+                if not report.rejected:
+                    q, price = report.q_star, report.price_at_q_star
+                    columns = (report.expected_profit_at_q_star, price, q)
+                    sale = _sale(market, curve, q, price)
+        except ValueError as exc:
+            fault = exc
+            break
+        plan.append((value, columns, price, *sale))
+    counts = _count_buyers(params.M, [unit for *_, unit in plan], config.seed,
+                           config.trials)
     rows: list[SweepResultRow] = []
-    for row, value in enumerate(values):
-        market = params
-        if parameter == "price":
-            price = value
-            analytic = params.M * (1.0 - valuation_cdf(price, model)) * price - cost
-            columns = (analytic, p_star, q_star)
-        elif parameter == "q":
-            q, price = value, optimal_price(curve, value, params.gamma)
-            columns = (expected_profit(q, params, curve), price, q_star)
+    for (value, columns, price, cost, _), row_counts in zip(plan, counts):
+        if columns is None:
+            rows.append(SweepResultRow(value, 0.0, 0.0, 0.0, 0.0, 0.0))
         else:
-            market = replace(params, **{parameter: value})
-            report = optimal_data_size(market, curve)
-            if report.rejected:
-                rows.append(SweepResultRow(value, 0.0, 0.0, 0.0, 0.0, 0.0))
-                continue
-            q, price = report.q_star, report.price_at_q_star
-            columns = (report.expected_profit_at_q_star, price, q)
-        mean, std = _monte_carlo(market, curve, q, price,
-                                 config.seed + row * config.trials, config.trials)
-        rows.append(SweepResultRow(value, *columns, mean, std))
+            rows.append(SweepResultRow(value, *columns,
+                                       *_profit_stats(row_counts, price, cost)))
+    if fault is not None:
+        raise fault
     return rows

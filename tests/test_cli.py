@@ -497,6 +497,46 @@ class TestExitCodes:
         named = "" if argv[0] == "sweep" else f"{config}: "
         assert f"error: {named}Monte-Carlo profit overflows" in captured.err
 
+    @pytest.mark.parametrize("scenario, argv, err", [
+        # row 0's Monte-Carlo overflows, though row 1's expected profit does too
+        ({}, ["gamma", "1e154", "1e308", "2"],
+         "Monte-Carlo profit overflows: mean 1.3272175015954995e+157, std inf"),
+        # row 0 counts; row 1's expected profit overflows
+        ({}, ["gamma", "1e152", "1e308", "2"], "expected profit overflows at data "
+                                               "size 100.0: M*gamma*r(q)/4 - k*q = inf"),
+        ({}, ["gamma", "1e-3", "1e155", "3"],
+         "Monte-Carlo profit overflows: mean 6.628656576154928e+157, std inf"),
+        ({"gamma": "1e300"}, ["q", "1", "100", "3"],
+         "Monte-Carlo profit overflows: mean 1.2362472000000002e+303, std inf"),
+        ({"gamma": "1e300"}, ["price", "0", "1e300", "3"],
+         "Monte-Carlo profit overflows: mean 2.3299999999999997e+302, std inf"),
+        ({"gamma": "1e300"}, ["k", "1e-3", "1", "3"],
+         "Monte-Carlo profit overflows: mean 1.3272175015954994e+303, std inf"),
+        # row 0 counts; row 1's data cost overflows
+        ({"k": "1e307"}, ["q", "1", "100", "3"],
+         "data cost k*q: must be non-negative and finite, got inf"),
+        ({"k": "1e306"}, ["q", "1", "100", "30"],
+         "Monte-Carlo profit overflows: mean -1.806896551724138e+307, std inf"),
+        ({"a": "-0.03"}, ["q", "1", "100", "4"],
+         "performance at data size 1.0: must be positive and finite, got -0.03"),
+    ])
+    def test_a_sweep_failing_mid_grid_names_its_first_faulty_row(
+            self, tmp_path, scenario, argv, err, capsys):
+        # recorded from the row-by-row sweep: the first fault in row order is
+        # raised, whether it is a row's analytic column or its Monte-Carlo
+        config = tmp_path / "mid.cfg"
+        text = taxi_scenario_path().read_text(encoding="utf-8")
+        for key, value in scenario.items():
+            text = text.replace(f"\n{key} = ", f"\n{key} = {value}  # ")
+        config.write_text(text, encoding="utf-8")
+        param, lo, hi, steps = argv
+        assert cli_main(["sweep", "--config", str(config), "--param", param, "--lo", lo,
+                         "--hi", hi, "--steps", steps, "--trials", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        warning = "warning: performance is negative at data size 1\n"
+        assert captured.err == f"{warning if 'a' in scenario else ''}error: {err}\n"
+
     @pytest.mark.parametrize("argv, scenario, field", [
         (["sweep", "--param", "q", "--lo", "1", "--hi", "100",
           "--steps", "1000000000000000"], {}, "--steps"),

@@ -1,8 +1,11 @@
 
+import contextlib
 import math
 import os
 import subprocess
 import sys
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -346,7 +349,8 @@ def raw_count(M, model, price, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(market, "_generators", keeping)
-        (count,) = _count_buyers(M, model, price, seed, 1).tolist()
+        ((count,),) = _count_buyers(M, [_unit_threshold(model.support_max, price)],
+                                    seed, 1).tolist()
     assert len(taken) <= 1
     return count, (taken[0] if taken else None)
 
@@ -432,3 +436,166 @@ class TestBuyerCount:
                 unit = _unit_threshold(Counting(support), price)
                 assert unit == _unit_threshold(support, price)
                 assert Counting.probes <= most, (support, price)
+
+
+@contextlib.contextmanager
+def split_into(parts, chunk=_CHUNK):
+    """Runs split into up to parts threads whatever their size, each drawing
+    chunks of at most chunk // parts raw outputs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "_cpus", lambda: parts)
+        patch.setattr(market, "_SPLIT_M", 1)
+        patch.setattr(market, "_SPLIT_DRAWS", 1)
+        patch.setattr(market, "_CHUNK", chunk)
+        yield
+
+
+def replayed_counts(M, units, first_seed, trials):
+    """Row r, trial t: the valuations of sample_valuations at support 1 and
+    seed first_seed + r * trials + t at or above the price of unit units[r]."""
+    model = ValuationModel(support_max=1.0)
+    return [[replayed_count(M, model, unit / _UNITS, first_seed + r * trials + t)
+             if unit < _UNITS else 0 for t in range(trials)]
+            for r, unit in enumerate(units)]
+
+
+def assert_split_keeps_the_counts(M, units, first_seed, trials, parts, chunk=_CHUNK):
+    with split_into(1, chunk):
+        serial = _count_buyers(M, units, first_seed, trials)
+    with split_into(parts, chunk):
+        split = _count_buyers(M, units, first_seed, trials)
+    assert serial.shape == (len(units), trials) and serial.dtype == np.int64
+    assert split.dtype == np.int64
+    assert split.tolist() == serial.tolist()
+    return serial
+
+
+# unit thresholds of rows: all buy, none can (a rejected row, or a price past
+# the support), and prices inside the support
+UNIT = st.one_of(st.just(0), st.just(_UNITS), st.integers(0, _UNITS))
+
+
+class TestSplitRun:
+    """A run counted on 2 to 4 threads counts what one thread counts."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(M=st.integers(1, 40), units=st.lists(UNIT, max_size=5),
+           first_seed=st.integers(0, 2**70), trials=st.integers(1, 9),
+           parts=st.integers(2, 4), chunk=st.integers(4, 16))
+    def test_counts_equal_one_threads(self, M, units, first_seed, trials, parts, chunk):
+        serial = assert_split_keeps_the_counts(M, units, first_seed, trials, parts, chunk)
+        assert serial.tolist() == replayed_counts(M, units, first_seed, trials)
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    @pytest.mark.parametrize("first_seed", [2**32 - 7, 2**64 - 11, 2**64, 2**64 + 3,
+                                            2**96 - 5, 2**130])
+    def test_seed_ranges_across_word_boundaries(self, first_seed, parts):
+        units = [_UNITS // 2, _UNITS // 3, _UNITS // 5]
+        serial = assert_split_keeps_the_counts(50, units, first_seed, 5, parts, 16)
+        assert serial.tolist() == replayed_counts(50, units, first_seed, 5)
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_rows_that_draw_nothing_keep_later_seeds(self, parts):
+        # a rejected row and a price past the support draw nothing and count 0
+        beyond = _unit_threshold(0.7, 1.5)
+        assert beyond == _UNITS
+        units = [_UNITS, _UNITS // 2, beyond, 0, _UNITS, _UNITS // 4]
+        serial = assert_split_keeps_the_counts(30, units, 11, 4, parts)
+        assert serial.tolist() == replayed_counts(30, units, 11, 4)
+        assert serial[[0, 2, 4]].tolist() == [[0] * 4] * 3
+        assert serial[3].tolist() == [30] * 4
+
+    def test_no_row_and_no_drawing_row_count_nothing(self):
+        with split_into(4):
+            assert _count_buyers(10, [], 0, 3).shape == (0, 3)
+            assert _count_buyers(10, [_UNITS, _UNITS], 0, 3).tolist() == [[0] * 3] * 2
+
+    def test_chunks_split_a_trial_across_parts(self):
+        # 2 * _CHUNK + 1 draws a trial, in chunks of _CHUNK // 3
+        M, units = 2 * _CHUNK + 1, [_UNITS // 2, _UNITS // 7]
+        serial = assert_split_keeps_the_counts(M, units, 5, 2, 3)
+        assert serial.tolist() == replayed_counts(M, units, 5, 2)
+
+
+class TestSplitThreads:
+    def test_a_split_run_leaves_no_thread(self):
+        before = threading.active_count()
+        with split_into(4):
+            _count_buyers(20, [_UNITS // 2] * 3, 0, 7)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("faulty", [0, 1, 3])
+    def test_a_fault_in_a_part_is_raised_once_every_part_stopped(self, faulty):
+        # 4 parts of 2 seeds each; the faulty part's _generators raises, and
+        # every other part still counts to its end
+        before, generators, finished = threading.active_count(), market._generators, []
+
+        def failing(first_seed, n):
+            if first_seed == 2 * faulty:
+                raise RuntimeError("injected")
+            yield from generators(first_seed, n)
+            finished.append(first_seed)
+
+        with split_into(4), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market, "_generators", failing)
+            with pytest.raises(RuntimeError, match="^injected$"):
+                _count_buyers(10, [_UNITS // 2], 0, 8)
+        assert threading.active_count() == before
+        assert sorted(finished) == [2 * part for part in range(4) if part != faulty]
+
+    def test_only_runs_over_both_floors_split(self, monkeypatch):
+        monkeypatch.setattr(market, "_cpus", lambda: 2)
+        M, floor = market._SPLIT_M, market._SPLIT_DRAWS
+        seeds = -(-2 * floor // M)  # the fewest trials that give each part floor draws
+        assert market._parts(M, seeds) == 2
+        assert market._parts(M, seeds - 1) == 1
+        assert market._parts(M - 1, 10**6) == 1
+        assert market._parts(10**9, 1) == 1  # a part counts whole trials
+        monkeypatch.setattr(market, "_cpus", lambda: 8)
+        assert market._parts(M, seeds) == 2 and market._parts(M, 8 * seeds) == 8
+        assert market._parts(M, 100 * seeds) == 8
+
+    def test_cpus_are_those_the_process_may_run_on(self, monkeypatch):
+        assert market._cpus() == len(os.sched_getaffinity(0))
+        # this process's set (pid 0), not another process's
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2} if pid == 0 else {0})
+        assert market._cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert market._cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+        assert market._cpus() == 1
+
+    def test_one_cpu_or_a_run_below_the_floors_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(market, "threading", types.SimpleNamespace(Thread=refuse))
+        monkeypatch.setattr(market, "_cpus", lambda: 4)
+        M, floor = market._SPLIT_M, market._SPLIT_DRAWS
+        units = [_UNITS // 2]
+        _count_buyers(M - 1, units, 0, 2 * floor // (M - 1) + 1)  # below the M floor
+        _count_buyers(M, units, 0, 2 * floor // M - 1)  # below the draw floor
+        monkeypatch.setattr(market, "_cpus", lambda: 1)
+        _count_buyers(10 * M, units, 0, 4 * floor // (10 * M))  # one CPU
+
+    def test_a_run_splits_without_concurrent_futures(self):
+        # a cold optimize, and a run split across threads, import no executor
+        code = ("import contextlib, io, sys\n"
+                "from datamarket import market, taxi_scenario_path\n"
+                "from datamarket.cli import cli_main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli_main(['optimize', '--config', str(taxi_scenario_path())]) == 0\n"
+                "cold = 'concurrent.futures' in sys.modules\n"
+                "market._cpus = lambda: 2\n"
+                "market._SPLIT_M = market._SPLIT_DRAWS = 1\n"
+                "market._count_buyers(10, [2**52], 0, 4)\n"
+                "print(cold, 'concurrent.futures' in sys.modules)\n")
+        src = str(Path(market.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]

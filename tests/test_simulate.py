@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -21,6 +23,7 @@ from datamarket import (
     sweep,
     taxi_scenario,
 )
+from datamarket import market
 
 
 def small_config(**overrides):
@@ -197,6 +200,44 @@ class TestDrawBound:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 0.25e6, peaks
 
+    def test_memory_does_not_grow_with_M_on_four_threads(self, monkeypatch):
+        # four parts draw chunks of a quarter each, so a run split across
+        # them holds no more than a run on one thread; whether the parts of a
+        # short run overlap is up to the scheduler, so the smaller run is not split
+        simulate(small_config(M=10, trials=4))  # the caches are filled
+        peaks = []
+        for M in (10**5, 10**7):
+            if M > 10**5:
+                monkeypatch.setattr(market, "_cpus", lambda: 4)
+                monkeypatch.setattr(market, "_SPLIT_M", 1)
+                monkeypatch.setattr(market, "_SPLIT_DRAWS", 1)
+                simulate(small_config(M=10, trials=4))  # a split's caches are filled
+            tracemalloc.start()
+            try:
+                simulate(small_config(M=M, trials=4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 0.25e6, peaks
+
+    def test_factors_are_integers_before_they_multiply(self):
+        # "3" * (M * trials) would build a 1 MB string before failing
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match=r"^grid steps: must be an integer, got '3'$"):
+                sweep(replace(taxi_scenario(), trials=100), "q", 1.0, 100.0, "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1e6, peak
+        for sizes, bad in (((10.5, 1, 1), "M: must be an integer, got 10.5"),
+                           ((10, "2", 1), "trials: must be an integer, got '2'"),
+                           ((10, 2, "3"), "steps: must be an integer, got '3'"),
+                           ((10**9, 1, 2.5), "steps: must be an integer, got 2.5")):
+            with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+                check_draws(*sizes, names=("M", "trials", "steps"))
+
     def test_trials_are_bounded_whatever_M_is(self):
         # at M = 1 the draw bound would admit 10**8 trials, some 50 minutes
         assert MAX_TRIALS == 10**6
@@ -227,6 +268,27 @@ class TestSweepValidation:
             with pytest.raises(ValueError) as excinfo:
                 sweep(small_config(), parameter, lo, hi, 3)
             assert type(excinfo.value) is ValueError
+
+    def test_the_first_fault_in_row_order_is_raised(self, monkeypatch):
+        # gamma rows 1e154 and 1e308: row 0's Monte-Carlo std overflows, and
+        # row 1's expected profit does too; from 1e152 only row 1 faults, and
+        # only once row 0 has counted
+        config = replace(taxi_scenario(), trials=5)
+        module = sys.modules["datamarket.simulate"]
+        counted, count_buyers = [], module._count_buyers
+
+        def counting(M, units, first_seed, trials):
+            counted.append(len(units))
+            return count_buyers(M, units, first_seed, trials)
+
+        monkeypatch.setattr(module, "_count_buyers", counting)
+        with pytest.raises(ValueError, match="^Monte-Carlo profit overflows: "):
+            sweep(config, "gamma", 1e154, 1e308, 2)
+        with pytest.raises(ValueError, match="^expected profit overflows at data size "):
+            sweep(config, "gamma", 1e152, 1e308, 2)
+        with pytest.raises(ValueError, match="^expected profit overflows at data size "):
+            sweep(config, "gamma", 1e307, 1e308, 2)  # row 0 faults: nothing counts
+        assert counted == [1, 1, 0]
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError, match="lo < hi"):
@@ -348,6 +410,17 @@ class TestSweepResults:
             assert profits.mean() == row.empirical_mean
             assert profits.std(ddof=1) == row.empirical_std
         assert next(seeds, None) is None
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_a_sweep_split_across_threads_gives_the_same_rows(self, parts, monkeypatch):
+        # rejected gamma rows, and price rows past the support, draw nothing
+        config = small_config(M=10, k=1.0, a=0.001, b=0.01, seed=0, trials=3)
+        grids = (("gamma", 50.0, 150.0, 5), ("price", 0.0, 1.0, 7), ("q", 1.0, 90.0, 4))
+        serial = [sweep(config, *grid) for grid in grids]
+        monkeypatch.setattr(market, "_cpus", lambda: parts)
+        monkeypatch.setattr(market, "_SPLIT_M", 1)
+        monkeypatch.setattr(market, "_SPLIT_DRAWS", 1)
+        assert [sweep(config, *grid) for grid in grids] == serial
 
     def test_gamma_sweep_runs_where_the_base_optimum_overflows(self):
         # M*gamma = 5e309 at the configured gamma; gamma rows re-optimize at
