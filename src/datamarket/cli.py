@@ -134,16 +134,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("fit", help="fit the utility curve to experiment points")
-    p.add_argument("--points", required=True, help="CSV with header q,performance")
+    p.add_argument("--points", required=True,
+                   help=f"CSV with header {','.join(csvio.POINT_HEADER)}")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("metric", help="satisfaction rate of a prediction log")
-    p.add_argument("--predictions", required=True, help="CSV with header y_true,y_pred")
+    p.add_argument("--predictions", required=True,
+                   help=f"CSV with header {','.join(csvio.PREDICTION_HEADER)}")
     p.add_argument("--tau", type=float, required=True, help="error tolerance")
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("auction", help="run the posted-price auction on sealed bids")
-    p.add_argument("--bids", required=True, help="CSV with header customer_id,bid")
+    p.add_argument("--bids", required=True,
+                   help=f"CSV with header {','.join(csvio.BID_HEADER)}")
     p.add_argument("--config", required=True, help="scenario config file")
     p.set_defaults(func=_cmd_auction)
 

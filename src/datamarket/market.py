@@ -62,7 +62,7 @@ class MarketParams:
     N: float
 
     def __post_init__(self):
-        object.__setattr__(self, "M", _require_count("M", self.M))
+        object.__setattr__(self, "M", require_positive("M", _require_integer("M", self.M)))
         require_positive("k", self.k)
         require_positive("gamma", self.gamma)
         require_positive("N", self.N)
@@ -113,14 +113,6 @@ def require_positive(name: str, value, allow_zero: bool = False):
     return arr
 
 
-def _require_count(name: str, value) -> int:
-    """value as an int if a positive integer, else a ValueError naming `name`."""
-    require_positive(name, value)
-    if value != int(value):
-        raise ValueError(f"{name}: must be an integer, got {value!r}")
-    return int(value)
-
-
 def _require_integer(name: str, value) -> int:
     """value as an int if operator.index takes it, else a ValueError naming `name`."""
     try:
@@ -167,7 +159,7 @@ def sample_valuations(M: int, model: ValuationModel,
 
     A Generator given as seed is drawn from as it is, so it advances.
     """
-    M = _require_count("M", M)
+    M = require_positive("M", _require_integer("M", M))
     rng = np.random.default_rng(seed)
     # preference degrees uniform on [0, 1], scaled by the support
     return model.support_max * rng.random(M)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
@@ -50,8 +51,7 @@ class ScenarioConfig:
     def __post_init__(self):
         # every check, the domain types' included, raises "<field>: ..."
         try:
-            MarketParams(M=self.M, k=self.k, gamma=self.gamma, N=self.N)
-            UtilityCurve(a=self.a, b=self.b)
+            self.market, self.curve  # built, so checked, once
             require_positive("b", self.b)
             if _require_integer("trials", self.trials) < 1:
                 raise ValueError(f"trials: must be >= 1, got {self.trials}")
@@ -79,11 +79,13 @@ class ScenarioConfig:
         if self.a < 0.0:
             warnings.warn("performance is negative at data size 1", stacklevel=3)
 
-    @property
+    # cached in the instance's __dict__, which a frozen dataclass leaves
+    # writable; replace() builds a new instance, so a cache never goes stale
+    @functools.cached_property
     def market(self) -> MarketParams:
         return MarketParams(M=self.M, k=self.k, gamma=self.gamma, N=self.N)
 
-    @property
+    @functools.cached_property
     def curve(self) -> UtilityCurve:
         return UtilityCurve(a=self.a, b=self.b)
 

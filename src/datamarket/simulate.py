@@ -214,8 +214,8 @@ def sweep(
         try:
             if parameter == "price":
                 price, sale = value, (cost, _unit_threshold(model.support_max, value))
-                analytic = params.M * (1.0 - valuation_cdf(price, model)) * price - cost
-                columns = (analytic, p_star, q_star)
+                buyers = params.M * (1.0 - valuation_cdf(price, model))
+                columns = (sale_profit(buyers, price, cost), p_star, q_star)
             elif parameter == "q":
                 q, price = value, optimal_price(curve, value, params.gamma)
                 columns = (expected_profit(q, params, curve), price, q_star)
@@ -223,25 +223,19 @@ def sweep(
             else:
                 market = replace(params, **{parameter: value})
                 report = optimal_data_size(market, curve)
-                # a rejected row buys, sells and draws nothing
-                columns, price, sale = None, None, (None, _UNITS)
-                if not report.rejected:
-                    q, price = report.q_star, report.price_at_q_star
-                    columns = (report.expected_profit_at_q_star, price, q)
-                    sale = _sale(market, curve, q, price)
+                q, price = report.q_star, report.price_at_q_star
+                columns = (report.expected_profit_at_q_star, price, q)
+                # a rejected row, all of whose columns are 0, buys, sells and
+                # draws nothing
+                sale = (0.0, _UNITS) if report.rejected else _sale(market, curve, q, price)
         except ValueError as exc:
             fault = exc
             break
         plan.append((value, columns, price, *sale))
     counts = _count_buyers(params.M, [unit for *_, unit in plan], config.seed,
                            config.trials)
-    rows: list[SweepResultRow] = []
-    for (value, columns, price, cost, _), row_counts in zip(plan, counts):
-        if columns is None:
-            rows.append(SweepResultRow(value, 0.0, 0.0, 0.0, 0.0, 0.0))
-        else:
-            rows.append(SweepResultRow(value, *columns,
-                                       *_profit_stats(row_counts, price, cost)))
+    rows = [SweepResultRow(value, *columns, *_profit_stats(row_counts, price, cost))
+            for (value, columns, price, cost, _), row_counts in zip(plan, counts)]
     if fault is not None:
         raise fault
     return rows

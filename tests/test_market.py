@@ -2,6 +2,7 @@
 import contextlib
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -59,9 +60,29 @@ class TestTypes:
         with pytest.raises(ValueError):
             MarketParams(**kwargs)
 
-    def test_market_params_coerces_integral_count(self):
-        params = MarketParams(M=10.0, k=0.5, gamma=1.0, N=100.0)
-        assert params.M == 10 and isinstance(params.M, int)
+    def test_market_params_stores_an_integer_count_as_an_int(self):
+        params = MarketParams(M=np.int64(10), k=0.5, gamma=1.0, N=100.0)
+        assert params.M == 10 and type(params.M) is int
+        assert sample_valuations(np.int64(3), ValuationModel(support_max=1.0),
+                                 seed=0).shape == (3,)
+
+    @pytest.mark.parametrize("M", [10.0, np.float64(10.0), "10", math.nan, math.inf])
+    def test_a_count_that_is_not_an_integer_is_refused_naming_M(self, M):
+        # the rule trials, seed and steps follow: an integral float is no integer
+        bad = f"^M: must be an integer, got {re.escape(repr(M))}$"
+        with pytest.raises(ValueError, match=bad):
+            MarketParams(M=M, k=0.5, gamma=1.0, N=100.0)
+        with pytest.raises(ValueError, match=bad):
+            sample_valuations(M, ValuationModel(support_max=1.0), seed=0)
+
+    @pytest.mark.parametrize("M, bad", [(0, "must be positive and finite, got 0"),
+                                        (-1, "must be positive and finite, got -1"),
+                                        (2.5, "must be an integer, got 2.5")])
+    def test_a_count_keeps_its_message(self, M, bad):
+        with pytest.raises(ValueError, match=f"^M: {bad}$"):
+            MarketParams(M=M, k=0.5, gamma=1.0, N=100.0)
+        with pytest.raises(ValueError, match=f"^M: {bad}$"):
+            sample_valuations(M, ValuationModel(support_max=1.0), seed=0)
 
     def test_valuation_model_requires_positive_support(self):
         with pytest.raises(ValueError):

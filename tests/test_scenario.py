@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -107,8 +107,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="scenario field seed"):
             ScenarioConfig(**self.base(seed=-1))
 
-    @pytest.mark.parametrize("name", ["trials", "seed"])
-    @pytest.mark.parametrize("bad", [2.5, float("nan"), 1.0, "3", None])
+    @pytest.mark.parametrize("name", ["M", "trials", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), 1.0, np.float64(1.0), "3", None])
     def test_counts_must_be_integers(self, name, bad):
         message = f"scenario field {name}: must be an integer, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -143,6 +143,16 @@ class TestValidation:
             fields["a"] = math.nextafter(fields["a"], math.inf if fields["a"] else -math.inf)
             with pytest.warns(UserWarning, match=match):
                 ScenarioConfig(**fields)
+
+    def test_market_and_curve_are_built_once_and_are_no_fields(self):
+        config, twin = ScenarioConfig(**self.base()), ScenarioConfig(**self.base())
+        assert config.market is config.market and config.curve is config.curve
+        assert (config.market.M, config.curve.b) == (100, 0.01)
+        # replace builds a new instance, whose cache is its own
+        assert replace(config, k=2.0, b=0.02).market.k == 2.0
+        assert replace(config, k=2.0, b=0.02).curve.b == 0.02
+        assert config == twin and hash(config) == hash(twin)
+        assert len(fields(config)) == 10 and "market" not in repr(config)
 
     def test_model_requires_q(self):
         config = ScenarioConfig(**self.base(q=None))

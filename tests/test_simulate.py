@@ -24,6 +24,7 @@ from datamarket import (
     taxi_scenario,
 )
 from datamarket import market
+from datamarket.market import valuation_cdf
 
 
 def small_config(**overrides):
@@ -238,6 +239,19 @@ class TestDrawBound:
             with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
                 check_draws(*sizes, names=("M", "trials", "steps"))
 
+    @pytest.mark.parametrize("M", [10.0, np.float64(10.0), "10"])
+    def test_M_is_an_integer_at_every_boundary(self, M):
+        # a scenario refuses M by the rule check_draws follows, so no scenario
+        # that simulate runs has an M that check_draws would refuse
+        bad = f"^scenario field M: must be an integer, got {re.escape(repr(M))}$"
+        with pytest.raises(ValueError, match=bad):
+            replace(taxi_scenario(), M=M)
+        with pytest.raises(ValueError, match=bad):
+            check_draws(M, 1)
+        config = replace(taxi_scenario(), M=np.int64(10), trials=2)
+        assert config.market.M == 10 and type(config.market.M) is int
+        assert simulate(config) == simulate(replace(config, M=10))
+
     def test_trials_are_bounded_whatever_M_is(self):
         # at M = 1 the draw bound would admit 10**8 trials, some 50 minutes
         assert MAX_TRIALS == 10**6
@@ -389,6 +403,33 @@ class TestSweepResults:
         assert tail.optimal_q == 0.0
         assert tail.optimal_price == 0.0
         assert (tail.empirical_mean, tail.empirical_std) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("parameter, lo, hi, config", [
+        ("k", 0.001, 1.0, small_config(M=10, a=0.001, b=0.01, q=None, trials=2)),
+        ("gamma", 50.0, 150.0, small_config(M=10, k=1.0, a=0.001, b=0.01, q=None,
+                                             trials=3)),
+    ])
+    def test_every_column_of_a_rejected_row_is_positive_zero(self, parameter, lo, hi,
+                                                              config):
+        # == cannot tell -0.0 from 0.0; the sign bit can
+        rows = sweep(config, parameter, lo, hi, 25)
+        rejected = [row for row in rows if row.optimal_q == 0.0]
+        assert rejected and len(rejected) < len(rows)
+        for row in rejected:
+            for x in (row.expected_profit, row.optimal_price, row.optimal_q,
+                      row.empirical_mean, row.empirical_std):
+                assert x == 0.0 and math.copysign(1.0, x) == 1.0, row
+
+    def test_price_rows_earn_the_sale_profit_of_their_expected_buyers(self):
+        config = small_config()
+        model = config.model()
+        cost = data_cost(config.q, config.k)
+        rows = sweep(config, "price", 0.0, 2.0 * model.support_max, 41)
+        assert rows[-1].value > model.support_max
+        for row in rows:
+            buyers = config.M * (1.0 - valuation_cdf(row.value, model))
+            assert (row.expected_profit.hex()
+                    == sale_profit(buyers, row.value, cost).hex()), row
 
     def test_row_seeds_skip_rejected_rows(self):
         # row r, trial t draws what sample_valuations draws with seed
