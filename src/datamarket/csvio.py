@@ -8,10 +8,10 @@ reads the file by its path, in large chunks.  A file that call refuses or
 might take wrongly, that fails a check, that holds a '"', whose name ends in
 a suffix numpy decompresses, or that is not a regular file (a pipe), is read
 by csv.reader, which only parses: the same checks, on the rows ahead of its
-first parse fault, find the first faulty line by bisection.  Ahead of that,
-_scan bounds the runs of bytes without a comma by csv.field_size_limit(),
-which np.loadtxt ignores, with bytes.find a MiB at a time; in a file
-without quotes, such a run holds every field.
+first parse fault, find the first faulty line by bisect over the lengths of
+the rows' prefixes.  Ahead of that, _scan bounds the runs of bytes without a
+comma by csv.field_size_limit(), which np.loadtxt ignores, with bytes.find a
+MiB at a time; in a file without quotes, such a run holds every field.
 
 Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
 line ends), but _CHUNK_ROWS rows at a time through one %-template per table,
@@ -26,10 +26,12 @@ table's allocation and payment cells are one of two pairs, ("0", "0") and
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import stat
 import warnings
-from contextlib import contextmanager
+from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import fields
 from itertools import chain
 from pathlib import Path
@@ -81,14 +83,11 @@ def format_sig(x: float) -> str:
     return format(x, _FLOAT_SPEC)
 
 
-@contextmanager
 def _opened(out: Destination):
-    """A text stream for out: the file at a path (opened here) or the stream itself."""
+    """A context manager for out: the file at a path, opened here, or the stream."""
     if isinstance(out, (str, Path)):
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield out
+        return open(out, "w", newline="", encoding="utf-8")
+    return nullcontext(out)
 
 
 def _read_records(path, header: Sequence[str], kinds: Sequence[type]) -> tuple:
@@ -167,8 +166,9 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
     np.loadtxt call parses the file in C.  A file with a suffix in _COMPRESSED,
     whose bytes fail _scan, whose first line is not the header, or that call
     or check refuses, is parsed by _read_records, and check judges its rows:
-    a rule fails on a prefix exactly when it fails on a row in it, so the
-    first faulty row, found by bisection, gets path:line in check's message
+    a rule fails on a prefix exactly when it fails on a row in it, so
+    bisect_left over prefix lengths finds the first faulty row in at most
+    ceil(log2(rows)) + 2 checks; that row gets path:line in check's message
     there.  If no row fails, the parse fault, if any, is raised.
 
     np.loadtxt reads a path in large chunks but a handle line by line, so it
@@ -194,22 +194,17 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
     rows, lines, fault = _read_records(path, header, kinds)
     table = np.array(rows, dtype)
 
+    @functools.cache
     def failure(n):  # check's ValueError on the first n rows, or None
         try:
             check(lines[:n], *(table[field][:n] for field in header))
         except ValueError as exc:
             return exc
 
-    lo, hi = 0, len(table)  # the first lo rows pass; the first hi fail with error
-    error = failure(hi)
-    while error is not None and hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (exc := failure(mid)) is None:
-            lo = mid
-        else:
-            hi, error = mid, exc
-    if error is not None:
-        raise ValueError(f"{path}:{lines[hi - 1]}: {error}")
+    if failure(len(table)) is not None:
+        n = bisect_left(range(len(table) + 1), True, lo=1,
+                        key=lambda n: failure(n) is not None)
+        raise ValueError(f"{path}:{lines[n - 1]}: {failure(n)}")
     if fault is not None:
         raise fault
     return table

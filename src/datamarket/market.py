@@ -42,7 +42,7 @@ class UtilityCurve:
 
     def __post_init__(self):
         for name, value in (("a", self.a), ("b", self.b)):
-            if not math.isfinite(value):
+            if not math.isfinite(_require_number(name, value)):
                 raise ValueError(f"{name}: must be finite, got {value}")
 
 
@@ -63,9 +63,8 @@ class MarketParams:
 
     def __post_init__(self):
         object.__setattr__(self, "M", require_positive("M", _require_integer("M", self.M)))
-        require_positive("k", self.k)
-        require_positive("gamma", self.gamma)
-        require_positive("N", self.N)
+        for name in ("k", "gamma", "N"):
+            require_positive(name, _require_number(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class ValuationModel:
     support_max: float
 
     def __post_init__(self):
-        require_positive("support_max", self.support_max)
+        require_positive("support_max", _require_number("support_max", self.support_max))
 
     @classmethod
     def from_market(cls, curve: UtilityCurve, q: float, gamma: float) -> "ValuationModel":
@@ -119,6 +118,19 @@ def _require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name}: must be an integer, got {value!r}") from None
+
+
+def _require_number(name: str, value):
+    """value if numpy takes it as one value (a str or a 0-d array included),
+    else a ValueError naming `name`: a model parameter is a scalar.  A Python
+    float or int, a scenario field's type, passes with no numpy."""
+    try:
+        scalar = type(value) in (float, int) or np.ndim(value) == 0
+    except ValueError:  # a ragged sequence, which numpy makes no array of
+        scalar = False
+    if not scalar:
+        raise ValueError(f"{name}: must be a number, got {value!r}")
+    return value
 
 
 def _unwrap(out):

@@ -16,6 +16,7 @@ from .market import (
     UtilityCurve,
     ValuationModel,
     _require_integer,
+    _require_number,
     data_utility,
     require_positive,
 )
@@ -53,13 +54,17 @@ class ScenarioConfig:
         try:
             self.market, self.curve  # built, so checked, once
             require_positive("b", self.b)
-            if _require_integer("trials", self.trials) < 1:
+            # an integer field is stored as the int its rule returns
+            object.__setattr__(self, "M", self.market.M)
+            object.__setattr__(self, "trials", _require_integer("trials", self.trials))
+            if self.trials < 1:
                 raise ValueError(f"trials: must be >= 1, got {self.trials}")
-            if self.q is not None and not 0 < self.q <= self.N:
+            if self.q is not None and not 0 < _require_number("q", self.q) <= self.N:
                 raise ValueError(f"q: must lie in (0, {self.N}], got {self.q}")
             if self.tau is not None:
-                require_positive("tau", self.tau)
-            if _require_integer("seed", self.seed) < 0:
+                require_positive("tau", _require_number("tau", self.tau))
+            object.__setattr__(self, "seed", _require_integer("seed", self.seed))
+            if self.seed < 0:
                 raise ValueError(f"seed: must be >= 0, got {self.seed}")
             with np.errstate(over="ignore"):  # the check below reports an overflow
                 top = data_utility(self.N, self.curve)

@@ -13,7 +13,9 @@ every CPU.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -120,9 +122,7 @@ def check_draws(M, trials, rows=1, names=("scenario field M", "scenario field tr
     for factors, product, unit, bound in (
             ((M, trials, rows), "M x trials x rows", "valuation draws", MAX_DRAWS),
             ((trials, rows), "trials x rows", "trials", MAX_TRIALS)):
-        total = 1
-        for name, factor in zip(names[-len(factors):], factors):
-            total *= factor
+        for name, total in zip(names[-len(factors):], accumulate(factors, operator.mul)):
             if total > bound:
                 raise ValueError(
                     f"{name}: {product} = {' x '.join(map(str, factors))} = "

@@ -84,6 +84,17 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^M: {bad}$"):
             sample_valuations(M, ValuationModel(support_max=1.0), seed=0)
 
+    @pytest.mark.parametrize("value", [np.array([0.5]), [0.5, 1.0], [0.5, [1.0]],
+                                       np.ones((1, 1))])
+    def test_a_model_parameter_that_is_not_a_number_is_refused_naming_it(self, value):
+        for cls, good in ((MarketParams, dict(M=10, k=0.5, gamma=1.0, N=100.0)),
+                          (UtilityCurve, dict(a=0.5, b=0.01)),
+                          (ValuationModel, dict(support_max=1.0))):
+            for name in good.keys() - {"M"}:
+                bad = f"^{name}: must be a number, got {re.escape(repr(value))}$"
+                with pytest.raises(ValueError, match=bad):
+                    cls(**{**good, name: value})
+
     def test_valuation_model_requires_positive_support(self):
         with pytest.raises(ValueError):
             ValuationModel(support_max=0.0)

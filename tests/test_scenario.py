@@ -10,6 +10,7 @@ from datamarket import (
     ScenarioConfig,
     load_scenario,
     parse_scenario,
+    simulate,
     taxi_scenario,
     taxi_scenario_path,
 )
@@ -113,6 +114,32 @@ class TestValidation:
         message = f"scenario field {name}: must be an integer, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(taxi_scenario(), **{name: bad})
+
+    @pytest.mark.parametrize("name", ["M", "trials", "seed"])
+    @pytest.mark.parametrize("value", [True, np.int64(3), np.uint64(3)])
+    def test_counts_are_stored_as_ints(self, name, value):
+        stored = getattr(replace(taxi_scenario(), **{name: value}), name)
+        assert stored == int(value) and type(stored) is int
+
+    def test_counts_given_as_a_flag_or_numpy_scalars_simulate(self):
+        config = replace(taxi_scenario(), M=np.int64(100), trials=True, seed=np.uint64(3))
+        report = simulate(config)
+        assert [(v, type(v)) for v in (report.M, report.trials, report.seed)] == [
+            (100, int), (1, int), (3, int)]
+
+    @pytest.mark.parametrize("name", ["k", "gamma", "N", "a", "b", "q", "tau"])
+    @pytest.mark.parametrize("bad", [np.array([0.5]), [0.5, 1.0], [0.5, [1.0]],
+                                     np.ones((1, 1))])
+    def test_parameters_must_be_numbers(self, name, bad):
+        message = f"scenario field {name}: must be a number, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(taxi_scenario(), **{name: bad})
+
+    @pytest.mark.parametrize("name", ["k", "gamma", "N", "a", "b", "q", "tau"])
+    @pytest.mark.parametrize("kind", [np.float64, np.array])
+    def test_a_numpy_scalar_parameter_is_a_number(self, name, kind):
+        taxi = taxi_scenario()
+        assert replace(taxi, **{name: kind(getattr(taxi, name))}) == taxi
 
     @pytest.mark.parametrize("seed", [0, np.int64(5), 2**64, 2**200])
     def test_seeds_of_any_size_are_taken(self, seed):

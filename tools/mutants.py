@@ -5,8 +5,12 @@ Every comparison operator in src/datamarket/*.py is flipped in turn
 is nudged (`x` -> `x + 1`), one mutant at a time, in a temporary copy of the
 repository.  Each mutant runs the test files mapped to its module with
 `pytest -x`; a mutant whose tests all pass survives, and one whose tests
-outrun the time limit is timed out.  The survivors and the score (killed,
-timed out / total) are printed.
+outrun the time limit is timed out.  The tests run under a Hypothesis
+profile with every phase but shrink, loaded by a pytest plugin written into
+the copy: a failure ends its run as soon as it is found, so a mutant the
+tests kill is not reported as timed out while Hypothesis shrinks its
+failing example.  The survivors and the score (killed, timed out / total)
+are printed.
 
 Usage, from the root of a checkout:
 
@@ -49,6 +53,14 @@ TESTS = {
 # the unmutated runs' limit; a mutant, which may loop forever, gets three
 # times its module's unmutated run and ten seconds more
 TIMEOUT_S = 600
+# the pytest plugin, a module in the copy's root, that loads the profile
+PLUGIN = "mutants_no_shrink"
+PLUGIN_SOURCE = """\
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile("mutants")
+"""
 
 
 def mutants(path: Path) -> list[tuple[str, int, int, str]]:
@@ -104,8 +116,9 @@ def mutants(path: Path) -> list[tuple[str, int, int, str]]:
 
 def run_tests(copy: Path, tests: list[str], timeout: float) -> bool | None:
     """Whether the tests pass in copy, or None if they outrun timeout seconds."""
+    # python -m puts the copy's root, which holds PLUGIN, on sys.path
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               *(f"tests/{name}" for name in tests)]
+               "-p", PLUGIN, *(f"tests/{name}" for name in tests)]
     # no bytecode caches: a same-size mutant written within the second of the
     # last one could otherwise run from the stale cache
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
@@ -133,6 +146,7 @@ def main() -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", ".perfbench", ".hypothesis", "__pycache__", ".pytest_cache"))
+        (copy / f"{PLUGIN}.py").write_text(PLUGIN_SOURCE)
         timeouts = {}
         for module in modules:
             began = time.perf_counter()
