@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .market import UtilityCurve, ValuationModel, _unwrap, require_positive
+from .market import UtilityCurve, ValuationModel, _require_all, _unwrap, require_positive
 
 __all__ = [
     "virtual_valuation",
@@ -28,9 +28,8 @@ def virtual_valuation(v, model: ValuationModel):
     """
     s = model.support_max
     arr = np.asarray(v, dtype=float)
-    outside = arr[~((arr >= 0.0) & (arr <= s))]
-    if outside.size:
-        raise ValueError(f"valuation {outside[0]} outside the support [0, {s}]")
+    _require_all((arr >= 0.0) & (arr <= s),
+                 lambda i: f"valuation {arr.flat[i]} outside the support [0, {s}]")
     return _unwrap(2.0 * arr - s)
 
 
@@ -57,7 +56,7 @@ def posted_price(values: np.ndarray, model: ValuationModel) -> tuple[np.ndarray,
     The price is the zero of the virtual valuation.  Virtual values are
     monotone, so exactly the values at or above the price clear zero (ties and
     values above the support included); every winner pays the price.  A value
-    that is negative or not finite is a ValueError naming the bid.
+    that is negative or not finite is a ValueError naming the first such bid.
     """
     values = _checked_bids(values)
     price = inverse_virtual(0.0, model)

@@ -8,8 +8,8 @@ reads the file by its path, in large chunks.  A file that call refuses or
 might take wrongly, that fails a check, that holds a '"', whose name ends in
 a suffix numpy decompresses, or that is not a regular file (a pipe), is read
 by csv.reader, which only parses: the same checks, on the rows ahead of its
-first parse fault, find the first faulty line by bisect over the lengths of
-the rows' prefixes.  Ahead of that, _scan bounds the runs of bytes without a
+first parse fault and then ahead of each faulty row they name, find the
+first faulty line.  Ahead of that, _scan bounds the runs of bytes without a
 comma by csv.field_size_limit(), which np.loadtxt ignores, with bytes.find a
 MiB at a time; in a file without quotes, such a run holds every field.
 
@@ -26,11 +26,9 @@ table's allocation and payment cells are one of two pairs, ("0", "0") and
 from __future__ import annotations
 
 import csv
-import functools
 import os
 import stat
 import warnings
-from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import fields
 from itertools import chain
@@ -41,6 +39,7 @@ import numpy as np
 
 from .auction import _checked_bids
 from .fitting import _checked_points, _checked_predictions
+from .market import _require_all
 from .simulate import SweepResultRow
 
 __all__ = [
@@ -161,15 +160,15 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
                 check: Callable) -> np.ndarray:
     """path's data rows as a structured array, once check takes its columns.
 
-    check(lines, *columns) raises a ValueError if columns (in header order)
-    break a rule; lines holds each row's file line, or is None.  One
-    np.loadtxt call parses the file in C.  A file with a suffix in _COMPRESSED,
-    whose bytes fail _scan, whose first line is not the header, or that call
-    or check refuses, is parsed by _read_records, and check judges its rows:
-    a rule fails on a prefix exactly when it fails on a row in it, so
-    bisect_left over prefix lengths finds the first faulty row in at most
-    ceil(log2(rows)) + 2 checks; that row gets path:line in check's message
-    there.  If no row fails, the parse fault, if any, is raised.
+    check(lines, *columns) raises a ValueError, whose `index` is the rule's
+    first faulty row, if columns (in header order) break a rule; lines holds
+    each row's file line, or is None.  One np.loadtxt call parses the file in
+    C.  A file with a suffix in _COMPRESSED, whose bytes fail _scan, whose
+    first line is not the header, or that call or check refuses, is parsed by
+    _read_records; check judges its rows, then the rows ahead of each fault
+    it names, until it passes, at most once a rule plus once.  The last fault
+    named, the first faulty row's under the first rule it breaks, is raised
+    with path:line.  If no row fails, the parse fault, if any, is raised.
 
     np.loadtxt reads a path in large chunks but a handle line by line, so it
     is given the path, with "./" ahead of a relative one so that numpy reads
@@ -193,18 +192,15 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
             pass
     rows, lines, fault = _read_records(path, header, kinds)
     table = np.array(rows, dtype)
-
-    @functools.cache
-    def failure(n):  # check's ValueError on the first n rows, or None
+    failure, n = None, len(table)
+    while True:  # check the rows ahead of the last fault found, until none fails
         try:
             check(lines[:n], *(table[field][:n] for field in header))
+            break
         except ValueError as exc:
-            return exc
-
-    if failure(len(table)) is not None:
-        n = bisect_left(range(len(table) + 1), True, lo=1,
-                        key=lambda n: failure(n) is not None)
-        raise ValueError(f"{path}:{lines[n - 1]}: {failure(n)}")
+            failure, n = exc, exc.index
+    if failure is not None:
+        raise ValueError(f"{path}:{lines[n]}: {failure}")
     if fault is not None:
         raise fault
     return table
@@ -226,10 +222,11 @@ def read_bids(path) -> np.ndarray:
     """
 
     def check(lines, ids, bids):
-        if len(set(ids)) != len(ids):
-            cid = ids[-1]  # the repeat, on the shortest failing prefix
-            first = lines and lines[ids.tolist().index(cid)]  # lines: None in the C pass
-            raise ValueError(f"duplicate customer_id {cid!r}, first on line {first}")
+        if len(set(ids)) != len(ids):  # lines is None in the C pass
+            ok = np.zeros(len(ids), dtype=bool)
+            ok[np.unique(ids, return_index=True)[1]] = True  # each id's first row
+            _require_all(ok, lambda i: f"duplicate customer_id {ids[i]!r}, first on line "
+                                       f"{lines and lines[ids.tolist().index(ids[i])]}")
         _checked_bids(bids)
 
     return _read_table(path, BID_HEADER, (object, float), check)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import UtilityCurve, data_utility, require_positive
+from .market import UtilityCurve, _require_all, data_utility, require_positive
 
 __all__ = [
     "FitReport",
@@ -48,11 +48,9 @@ def _checked_predictions(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     """y_true and y_pred as aligned float arrays of finite pairs."""
     _require_columns("y_true and y_pred", y_true, y_pred)
     y_true, y_pred = np.asarray(y_true, dtype=float), np.asarray(y_pred, dtype=float)
-    finite = np.isfinite(y_true) & np.isfinite(y_pred)
-    if not finite.all():
-        i = int(np.argmin(finite))  # the first pair that is not
-        raise ValueError(f"prediction values must be finite, "
-                         f"got ({float(y_true[i])}, {float(y_pred[i])})")
+    _require_all(np.isfinite(y_true) & np.isfinite(y_pred),
+                 lambda i: f"prediction values must be finite, "
+                           f"got ({float(y_true[i])}, {float(y_pred[i])})")
     return y_true, y_pred
 
 
@@ -61,10 +59,8 @@ def _checked_points(q, alpha) -> tuple[np.ndarray, np.ndarray]:
     _require_columns("q and alpha", q, alpha)
     q = require_positive("data size", q)
     alpha = np.asarray(alpha, dtype=float, order="C")  # copied as require_positive does
-    # initial values in [0, 1] let an empty array pass; NaN propagates
-    for bound in (alpha.min(initial=0.0), alpha.max(initial=1.0)):
-        if not 0.0 <= bound <= 1.0:
-            raise ValueError(f"performance must lie in [0, 1], got {float(bound)}")
+    _require_all((alpha >= 0.0) & (alpha <= 1.0),  # NaN fails both
+                 lambda i: f"performance must lie in [0, 1], got {float(alpha[i])}")
     return q, alpha
 
 

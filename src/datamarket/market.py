@@ -94,22 +94,32 @@ def require_positive(name: str, value, allow_zero: bool = False):
     A Python float or int, such as a scenario field, a flag or a model
     parameter, is checked and returned as it is, with no numpy.  A str, which
     numpy would parse, fails that check with a TypeError.  Anything else is
-    returned as a float array, checked on its one value if 0-d, else on its
-    min and then its max; both reductions propagate NaN, so a NaN anywhere
-    fails.  An empty array passes: both reductions start from 1.0, which
-    passes every check, and a value that fails one is below it, above it or NaN.
+    returned as a float array, checked as a float if 0-d; an empty one passes;
+    else the error names the first faulty element, with its flat index as `index`.
     """
+    kind = "non-negative" if allow_zero else "positive"
     if type(value) is float or type(value) is int or isinstance(value, str):
         if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
-            kind = "non-negative" if allow_zero else "positive"
             raise ValueError(f"{name}: must be {kind} and finite, got {value}")
         return value
     # a strided view (a field of a CSV table) is copied: on 1e5 floats the copy
-    # and two reductions take half the time of two strided reductions
+    # costs what it saves the mask, and the caller's passes then run on it
     arr = np.asarray(value, dtype=float, order="C")
-    for bound in (arr.min(initial=1.0), arr.max(initial=1.0)) if arr.ndim else (arr,):
-        require_positive(name, float(bound), allow_zero)
+    if arr.ndim:
+        _require_all(np.isfinite(arr) & (arr >= 0 if allow_zero else arr > 0),
+                     lambda i: f"{name}: must be {kind} and finite, got {arr.flat[i]}")
+    else:  # one value, checked as a float: 6 us faster than by a mask
+        require_positive(name, float(arr), allow_zero)
     return arr
+
+
+def _require_all(ok, message) -> None:
+    """Raise ValueError(message(i)), its `index` i, at the bool array ok's first False."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        error = ValueError(message(i))
+        error.index = i
+        raise error
 
 
 def _require_integer(name: str, value) -> int:
@@ -121,11 +131,13 @@ def _require_integer(name: str, value) -> int:
 
 
 def _require_number(name: str, value):
-    """value if numpy takes it as one value (a str or a 0-d array included),
-    else a ValueError naming `name`: a model parameter is a scalar.  A Python
-    float or int, a scenario field's type, passes with no numpy."""
+    """value if numpy takes it as one value (a 0-d array included), else a
+    ValueError naming `name`: a model parameter is a scalar.  A Python float or
+    int, a scenario field's type, passes with no numpy; a str or bytes, which
+    numpy would parse, is refused before numpy sees it."""
     try:
-        scalar = type(value) in (float, int) or np.ndim(value) == 0
+        scalar = type(value) in (float, int) or (
+            not isinstance(value, (str, bytes)) and np.ndim(value) == 0)
     except ValueError:  # a ragged sequence, which numpy makes no array of
         scalar = False
     if not scalar:

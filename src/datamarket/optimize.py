@@ -12,6 +12,7 @@ from .auction import optimal_price
 from .market import (
     MarketParams,
     UtilityCurve,
+    _require_all,
     _require_integer,
     _unwrap,
     data_cost,
@@ -51,19 +52,16 @@ def expected_profit(q, params: MarketParams, curve: UtilityCurve):
     """
     require_positive("utility-curve slope b", curve.b)
     qs = np.asarray(require_positive("data size", q, True), dtype=float)
-    if qs.max() > params.N:
-        raise ValueError(f"data size must lie in [0, {params.N}], got {qs.max()}")
+    _require_all(qs <= params.N,
+                 lambda i: f"data size must lie in [0, {params.N}], got {qs.flat[i]}")
     bought = qs > 0
     # r(q) is undefined at q = 0; the placeholder 1 is masked out below
     r = data_utility(np.where(bought, qs, 1.0), curve)
     revenue = params.M * params.gamma * r / 4.0
     profit = np.where(bought, revenue - data_cost(qs, params.k), 0.0)
-    overflow = ~np.isfinite(profit)
-    if overflow.any():
-        raise ValueError(
-            f"expected profit overflows at data size {qs[overflow][0]}: "
-            f"M*gamma*r(q)/4 - k*q = {profit[overflow][0]}"
-        )
+    _require_all(np.isfinite(profit),
+                 lambda i: f"expected profit overflows at data size {qs.flat[i]}: "
+                           f"M*gamma*r(q)/4 - k*q = {profit.flat[i]}")
     return _unwrap(profit)
 
 
@@ -125,8 +123,6 @@ def grid_argmax(
             f"objective must evaluate the whole grid: got shape {ys.shape} "
             f"for {xs.shape} grid points"
         )
-    if not np.all(np.isfinite(ys)):
-        bad = float(xs[~np.isfinite(ys)][0])
-        raise ValueError(f"objective is not finite at {bad}")
+    _require_all(np.isfinite(ys), lambda i: f"objective is not finite at {float(xs[i])}")
     i = int(np.argmax(ys))
     return float(xs[i]), float(ys[i])

@@ -640,19 +640,40 @@ def test_a_repeated_id_names_both_lines_at_every_position(tmp_path):
 
 
 # on the failure path only: with n rows whose last is the only fault, the
-# column check runs once in the C pass, once on all rows, and once a halving
+# column check runs once in the C pass, once on all rows, and once on the rows
+# ahead of the fault, which pass
 @pytest.mark.parametrize("reader, core", [
     (read_bids, "_checked_bids"), (read_predictions, "_checked_predictions"),
     (read_experiment_points, "_checked_points"),
 ], ids=("bids", "predictions", "points"))
-def test_the_bisection_runs_the_check_log_n_times(tmp_path, reader, core):
+def test_a_lone_fault_takes_three_checks(tmp_path, reader, core):
     n = 10**4
     path = tmp_path / "last.csv"
     path.write_bytes(numbered(reader, [False] * (n - 1) + [True]))
     with (mock.patch.object(csvio, core, wraps=getattr(csvio, core)) as check,
           pytest.raises(ValueError, match=rf"last\.csv:{n + 1}: ")):
         reader(path)
-    assert check.call_count <= math.ceil(math.log2(n)) + 2
+    assert [len(call.args[0]) for call in check.call_args_list] == [n, n, n - 1]
+
+
+# faults of two rules: the earlier row's line and message win, whichever rule
+# the reader checks first
+@pytest.mark.parametrize("reader, text, error", [
+    (read_experiment_points, "q,performance\n1,0.5\n2,1.5\n3,0.5\n-1,0.5\n",
+     "3: performance must lie in [0, 1], got 1.5"),
+    (read_experiment_points, "q,performance\n1,0.5\n-1,1.5\n",
+     "3: data size: must be positive and finite, got -1.0"),
+    (read_bids, "customer_id,bid\na,1\nb,-1\nc,1\na,1\n",
+     "3: bid: must be non-negative and finite, got -1.0"),
+    (read_bids, "customer_id,bid\na,1\nb,1\na,1\nc,-1\n",
+     "4: duplicate customer_id 'a', first on line 2"),
+], ids=("performance-then-q", "both-on-one-row", "bid-then-repeat", "repeat-then-bid"))
+def test_the_earlier_of_two_rules_faults_is_named(tmp_path, reader, text, error):
+    path = tmp_path / "rows.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}:{error}"
 
 
 class TestWriteSweep:

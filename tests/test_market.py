@@ -20,7 +20,12 @@ from datamarket import (
     ValuationModel,
     data_cost,
     data_utility,
+    evaluate_fit,
     expected_profit,
+    grid_argmax,
+    hit_rate,
+    least_squares_fit,
+    posted_price,
     sample_valuations,
     valuation_cdf,
     virtual_valuation,
@@ -85,7 +90,7 @@ class TestTypes:
             sample_valuations(M, ValuationModel(support_max=1.0), seed=0)
 
     @pytest.mark.parametrize("value", [np.array([0.5]), [0.5, 1.0], [0.5, [1.0]],
-                                       np.ones((1, 1))])
+                                       np.ones((1, 1)), "0.5", b"1"])
     def test_a_model_parameter_that_is_not_a_number_is_refused_naming_it(self, value):
         for cls, good in ((MarketParams, dict(M=10, k=0.5, gamma=1.0, N=100.0)),
                           (UtilityCurve, dict(a=0.5, b=0.01)),
@@ -235,6 +240,85 @@ class TestArrayClosedForms:
     def test_expected_profit_rejects_sizes_above_n(self):
         with pytest.raises(ValueError, match="data size"):
             expected_profit(np.array([1.0, 100.5]), self.params, TAXI_CURVE)
+
+    def test_no_sizes_give_no_profits(self):
+        assert expected_profit(np.array([]), self.params, TAXI_CURVE).shape == (0,)
+
+
+# M * gamma = 1e309 is inf in floating point, so every bought size overflows
+OVERFLOWING = MarketParams(M=10000, k=0.5, gamma=1e305, N=100.0)
+ABOVE_N = math.nextafter(100.0, math.inf)
+# each array rule: (the call on one column xs, the values xs is drawn from,
+# whether element i of xs breaks the rule, the message naming it)
+ARRAY_RULES = {
+    "positive": (lambda xs: require_positive("x", xs),
+                 (1.0, 5e-324, 0.0, -0.0, -1.0, math.nan, math.inf, -math.inf),
+                 lambda xs, i: not (math.isfinite(xs[i]) and xs[i] > 0),
+                 lambda xs, i: f"x: must be positive and finite, got {xs[i]}"),
+    "non-negative": (lambda xs: require_positive("x", xs, True),
+                     (1.0, 0.0, -0.0, -5e-324, -1.0, math.nan, math.inf),
+                     lambda xs, i: not (math.isfinite(xs[i]) and xs[i] >= 0),
+                     lambda xs, i: f"x: must be non-negative and finite, got {xs[i]}"),
+    "performance": (lambda xs: evaluate_fit(TAXI_CURVE, np.ones(len(xs)), xs),
+                    (0.0, 0.5, 1.0, -0.0, -0.5, 1.5, math.nan, math.inf),
+                    lambda xs, i: not 0.0 <= xs[i] <= 1.0,
+                    lambda xs, i: f"performance must lie in [0, 1], got {xs[i]}"),
+    "predictions": (lambda xs: hit_rate(xs, xs[::-1], 1.0),
+                    (0.0, 1e308, -1e308, math.nan, math.inf, -math.inf),
+                    lambda xs, i: not (math.isfinite(xs[i]) and math.isfinite(xs[-1 - i])),
+                    lambda xs, i: f"prediction values must be finite, "
+                                  f"got ({xs[i]}, {xs[::-1][i]})"),
+    "valuation": (lambda xs: virtual_valuation(xs, ValuationModel(support_max=2.0)),
+                  (0.0, 1.0, 2.0, -0.0, -1.0, math.nextafter(2.0, 3.0), math.nan),
+                  lambda xs, i: not 0.0 <= xs[i] <= 2.0,
+                  lambda xs, i: f"valuation {xs[i]} outside the support [0, 2.0]"),
+    "at most N": (lambda xs: expected_profit(xs, TestArrayClosedForms.params, TAXI_CURVE),
+                  (0.0, 50.0, 100.0, ABOVE_N, 200.0),
+                  lambda xs, i: xs[i] > 100.0,
+                  lambda xs, i: f"data size must lie in [0, 100.0], got {xs[i]}"),
+    "overflow": (lambda xs: expected_profit(xs, OVERFLOWING, TAXI_CURVE),
+                 (0.0, 20.0, 50.0),
+                 lambda xs, i: xs[i] > 0.0,
+                 lambda xs, i: f"expected profit overflows at data size {xs[i]}: "
+                               f"M*gamma*r(q)/4 - k*q = inf"),
+    "objective": (lambda ys: grid_argmax(lambda _: ys, 0.0, 1.0, len(ys)),
+                  (0.0, 1.0, math.nan, math.inf, -math.inf),
+                  lambda ys, i: not math.isfinite(ys[i]),
+                  lambda ys, i: f"objective is not finite at "
+                                f"{np.linspace(0.0, 1.0, len(ys))[i]}"),
+}
+
+
+class TestFirstFault:
+    """Every array rule names its first faulty element, and the error's index
+    is the one a plain loop finds first."""
+
+    @pytest.mark.parametrize("rule", list(ARRAY_RULES))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_the_first_fault_is_named(self, rule, data):
+        call, values, bad, message = ARRAY_RULES[rule]
+        xs = data.draw(st.lists(st.sampled_from(values), min_size=2, max_size=8))
+        faults = [i for i in range(len(xs)) if bad(xs, i)]
+        if not faults:
+            call(np.array(xs))
+            return
+        with pytest.raises(ValueError) as info:
+            call(np.array(xs))
+        assert info.value.index == faults[0]
+        assert str(info.value) == message(xs, faults[0])
+
+    def test_posted_price_names_the_first_bad_bid(self):
+        with pytest.raises(ValueError, match=r"^bid: must be non-negative and finite, "
+                                             r"got -1\.0$") as info:
+            posted_price([-1.0, -5.0], ValuationModel(support_max=1.0))
+        assert info.value.index == 0
+
+    def test_least_squares_fit_names_the_first_bad_performance(self):
+        with pytest.raises(ValueError, match=r"^performance must lie in \[0, 1\], "
+                                             r"got 1\.5$") as info:
+            least_squares_fit(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
+        assert info.value.index == 0
 
 
 class TestValuationDistribution:

@@ -128,8 +128,9 @@ class TestValidation:
             (100, int), (1, int), (3, int)]
 
     @pytest.mark.parametrize("name", ["k", "gamma", "N", "a", "b", "q", "tau"])
+    # numpy would parse a str or bytes, so each is refused before numpy sees it
     @pytest.mark.parametrize("bad", [np.array([0.5]), [0.5, 1.0], [0.5, [1.0]],
-                                     np.ones((1, 1))])
+                                     np.ones((1, 1)), "0.5", b"1"])
     def test_parameters_must_be_numbers(self, name, bad):
         message = f"scenario field {name}: must be a number, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
