@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import UtilityCurve, _require_all, data_utility, require_positive
+from .market import UtilityCurve, _real, _require_all, data_utility, require_positive
 
 __all__ = [
     "FitReport",
@@ -70,10 +70,10 @@ def hit_rate(y_true: np.ndarray, y_pred: np.ndarray, tau: float) -> float:
     y_true, y_pred = _checked_predictions(y_true, y_pred)
     if len(y_true) == 0:
         raise ValueError("records must be non-empty")
-    require_positive("tolerance", tau)
+    tau = require_positive("tolerance", _real("tolerance", tau))
     with np.errstate(over="ignore"):  # an infinite error is simply no hit
         hits = np.count_nonzero(np.abs(y_true - y_pred) < tau)
-    return hits / len(y_true)
+    return int(hits) / len(y_true)  # a Python float, as every scalar result
 
 
 def least_squares_fit(q: np.ndarray, alpha: np.ndarray) -> FitReport:

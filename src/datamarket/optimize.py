@@ -12,6 +12,7 @@ from .auction import optimal_price
 from .market import (
     MarketParams,
     UtilityCurve,
+    _real,
     _require_all,
     _require_integer,
     _unwrap,
@@ -96,7 +97,8 @@ def concavity_check(params: MarketParams, curve: UtilityCurve, q: float) -> floa
 
 
 def grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    """steps evenly spaced points from lo to hi: finite lo < hi, integer steps >= 2."""
+    """steps evenly spaced points from lo to hi: real finite lo < hi, integer steps >= 2."""
+    lo, hi = _real("grid bound lo", lo), _real("grid bound hi", hi)
     for name, bound in (("lo", lo), ("hi", hi)):
         if not math.isfinite(bound):
             raise ValueError(f"grid bound {name} must be finite, got {bound}")

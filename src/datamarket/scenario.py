@@ -15,8 +15,8 @@ from .market import (
     MarketParams,
     UtilityCurve,
     ValuationModel,
+    _real,
     _require_integer,
-    _require_number,
     data_utility,
     require_positive,
 )
@@ -33,9 +33,10 @@ __all__ = [
 class ScenarioConfig:
     """One market scenario: market constants, utility curve, and run controls.
 
-    q and tau are optional; commands that need them fail with the field name
-    when they are missing.  Monte-Carlo runs use `trials` repetitions seeded
-    from `seed`.
+    Each field is converted, before any range rule runs, and stored as the
+    int (M, seed, trials) or float its rule returns: True is 1 or 1.0.  q and
+    tau are optional; commands that need them fail with the field name when
+    they are missing.  Monte-Carlo runs use `trials` repetitions seeded from `seed`.
     """
 
     M: int
@@ -52,18 +53,19 @@ class ScenarioConfig:
     def __post_init__(self):
         # every check, the domain types' included, raises "<field>: ..."
         try:
+            for name, kind in _KEY_TYPES.items():
+                value = getattr(self, name)
+                if value is not None or name not in ("q", "tau"):
+                    convert = _require_integer if kind is int else _real
+                    object.__setattr__(self, name, convert(name, value))
             self.market, self.curve  # built, so checked, once
             require_positive("b", self.b)
-            # an integer field is stored as the int its rule returns
-            object.__setattr__(self, "M", self.market.M)
-            object.__setattr__(self, "trials", _require_integer("trials", self.trials))
             if self.trials < 1:
                 raise ValueError(f"trials: must be >= 1, got {self.trials}")
-            if self.q is not None and not 0 < _require_number("q", self.q) <= self.N:
+            if self.q is not None and not 0 < self.q <= self.N:
                 raise ValueError(f"q: must lie in (0, {self.N}], got {self.q}")
             if self.tau is not None:
-                require_positive("tau", _require_number("tau", self.tau))
-            object.__setattr__(self, "seed", _require_integer("seed", self.seed))
+                require_positive("tau", self.tau)
             if self.seed < 0:
                 raise ValueError(f"seed: must be >= 0, got {self.seed}")
             with np.errstate(over="ignore"):  # the check below reports an overflow

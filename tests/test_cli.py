@@ -577,6 +577,20 @@ class TestExitCodes:
         assert cli_main(["optimize", "--config", str(config)]) == 0
         assert "rejected = false" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["optimize"], ["simulate"],
+        ["sweep", "--param", "k", "--lo", "0.1", "--hi", "1", "--steps", "3"]])
+    def test_a_market_size_past_the_float_range_names_M(self, tmp_path, command,
+                                                        capsys):
+        # an int too large for a float is not finite: exit 1, not an internal error
+        M = "1" + "0" * 400
+        config = tmp_path / "big.cfg"
+        config.write_text(taxi_scenario_path().read_text(encoding="utf-8")
+                          .replace("M = 10000", f"M = {M}"), encoding="utf-8")
+        assert cli_main([*command, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: scenario field M: must be positive and finite, got {M}\n")
+
     @pytest.mark.parametrize("command", ["optimize", "simulate"])
     def test_performance_overflow_names_file_and_field(self, tmp_path, command,
                                                        capsys):

@@ -57,9 +57,11 @@ class TestHitRate:
         with pytest.raises(ValueError):
             hit_rate(np.array([]), np.array([]), 60.0)
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, "0.1", 10**400])
     def test_nonpositive_tolerance_rejected(self, tau):
-        with pytest.raises(ValueError):
+        # a value that is no number, or is past the float range, is refused
+        # by the same ValueError
+        with pytest.raises(ValueError, match="^tolerance: "):
             hit_rate(*with_errors(1.0), tau)
 
     @given(st.lists(st.floats(min_value=-500, max_value=500), min_size=1, max_size=60))

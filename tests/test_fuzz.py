@@ -2,8 +2,9 @@
 
 Whatever the input, a command exits 0 or 1, never reports an internal error
 or a traceback, names the file its reading failed on, and prints no inf or
-nan when it succeeds.  Sizes (M, trials, steps) stay small: a huge size is a
-separate, still open case.
+nan when it succeeds.  Sizes (M, trials, steps) are small, or huge: a count
+whose draws pass any bound, and an M past the float range.  A huge CSV file
+is not generated.
 """
 
 import csv
@@ -24,6 +25,8 @@ FUZZ = settings(max_examples=60, deadline=None,
 HOSTILE = ("nan", "inf", "-1", "0", "1e308", "2.5", "abc")
 # a count whose draws, M x trials x rows, pass any bound: 7 PiB of valuations
 HUGE_COUNT = "1000000000000000"
+# a count past the float range: float() of it overflows
+PAST_FLOAT = "1" + "0" * 400
 SCENARIO = {"M": "50", "k": "0.5", "gamma": "1", "N": "100", "a": "0.4944",
             "b": "0.0079", "q": "50", "tau": "180", "seed": "3", "trials": "3"}
 
@@ -102,7 +105,7 @@ def mutated(draw, valid, choices, max_size):
 def scenario_texts(draw):
     """A valid scenario with up to two values changed or dropped, plus maybe an
     unknown, repeated or malformed line."""
-    values = mutated(draw, SCENARIO, (None, "1", "0.1", HUGE_COUNT) + HOSTILE, 2)
+    values = mutated(draw, SCENARIO, (None, "1", "0.1", HUGE_COUNT, PAST_FLOAT) + HOSTILE, 2)
     lines = [f"{key} = {value}" for key, value in values.items()]
     extras = st.one_of(
         st.builds("{} = {}".format, st.sampled_from([*SCENARIO, "foo"]),
@@ -121,6 +124,7 @@ WARNS = "".join(f"{key} = {value}\n" for key, value in {**SCENARIO, "a": "-1"}.i
 @example(text=WARNS, command=["optimize"])
 @example(text=WARNS.replace("q = 50\n", ""), command=["simulate"])
 @example(text=WARNS.replace("M = 50\n", f"M = {HUGE_COUNT}\n"), command=["simulate"])
+@example(text=WARNS.replace("M = 50\n", f"M = {PAST_FLOAT}\n"), command=["optimize"])
 @example(text="".join(f"{key} = {value}\n" for key, value in {**SCENARIO, "k": "1e308"}.items()),
          command=["auction", "--bids", "bids.csv"])
 @given(text=scenario_texts(),

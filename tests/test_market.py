@@ -7,6 +7,9 @@ import subprocess
 import sys
 import threading
 import types
+import warnings
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from scipy import stats
 
 from datamarket import (
     MarketParams,
+    ScenarioConfig,
     UtilityCurve,
     ValuationModel,
     data_cost,
@@ -27,12 +31,15 @@ from datamarket import (
     least_squares_fit,
     posted_price,
     sample_valuations,
+    sweep,
+    taxi_scenario,
     valuation_cdf,
     virtual_valuation,
 )
 from datamarket import market
 from datamarket.market import (_BLOCK, _CHUNK, _UNITS, _count_buyers, _generators,
                                _seed_words, _unit_threshold, require_positive)
+from datamarket.optimize import grid
 
 TAXI_CURVE = UtilityCurve(a=0.4944, b=0.0079)
 
@@ -114,10 +121,88 @@ class TestTypes:
         with pytest.raises(ValueError, match="^performance at data size 50.0: must be pos"):
             ValuationModel.from_market(UtilityCurve(a=-0.1, b=0.0079), 50.0, 1.0)
 
+    def test_require_positive_takes_the_float_range_and_no_more(self):
+        # an int past the largest float is not finite, however float() rounds it
+        assert require_positive("M", sys.float_info.max) == sys.float_info.max
+        for value in (int(sys.float_info.max) + 1, 10**400):
+            with pytest.raises(ValueError, match="^M: must be positive and finite, got 1"):
+                require_positive("M", value)
+
     def test_require_positive_refuses_text(self):
         # numpy would parse "0.3"; the check refuses a str without it
         with pytest.raises(TypeError):
             require_positive("bid", "0.3", True)
+
+
+# a value a caller may pass for one scalar by mistake, by label
+BAD_VALUES = {
+    "'0.5'": "0.5", "b'1'": b"1", "None": None, "[1.0]": [1.0], "1+0j": 1 + 0j, "{}": {},
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "True": True,
+    "10**400": 10**400, "array('0.5')": np.array("0.5"), "array(b'1')": np.array(b"1"),
+    "complex128": np.complex128(0.5 + 1j), "array(0.5+1j)": np.array(0.5 + 1j),
+    "array(None)": np.array(None, dtype=object),
+}
+SMALL = ScenarioConfig(M=5, k=0.5, gamma=1.0, N=100.0, a=0.4944, b=0.0079, q=50.0, trials=1)
+Y = np.array([600.0, 630.0])
+MARKET = dict(M=10, k=0.5, gamma=1.0, N=100.0)
+
+
+def kept_field(build, name):
+    """A boundary: build(name=value), with what it stored for name returned."""
+    return lambda value: getattr(build(**{name: value}), name)
+
+
+# each scalar boundary: the pattern its errors start with, and a call taking
+# one value there and returning what it keeps of it
+SCALAR_BOUNDARIES = {
+    **{f"UtilityCurve.{name}": (name, kept_field(partial(UtilityCurve, a=0.5, b=0.01), name))
+       for name in ("a", "b")},
+    **{f"MarketParams.{name}": (name, kept_field(partial(MarketParams, **MARKET), name))
+       for name in MARKET},
+    "ValuationModel.support_max": ("support_max", kept_field(ValuationModel, "support_max")),
+    **{f"ScenarioConfig.{field.name}": (
+        f"scenario field {field.name}",
+        kept_field(lambda **value: replace(taxi_scenario(), **value), field.name))
+       for field in fields(ScenarioConfig)},
+    "grid.lo": ("grid bound lo", lambda value: grid(value, 2.0, 3).tolist()[0]),
+    # lo < hi names both bounds; sweep's own range rules name the bound they test
+    "grid.hi": ("grid bound hi|need lo < hi", lambda value: grid(0.0, value, 3).tolist()[-1]),
+    "sweep.lo": ("grid bound lo|price sweep needs lo",
+                 lambda value: sweep(SMALL, "price", value, 2.0, 2)[0].value),
+    "sweep.hi": ("grid bound hi|need lo < hi",
+                 lambda value: sweep(SMALL, "price", 0.5, value, 2)[-1].value),
+    "hit_rate.tau": ("tolerance", lambda value: hit_rate(Y, Y, value)),
+}
+# the bad values a boundary takes by design: True, which is the number 1
+# everywhere, and these
+ACCEPTED = {
+    ("ScenarioConfig.q", "None"), ("ScenarioConfig.tau", "None"),  # optional
+    # performance below 0 at data size 1 warns, and a fitted slope may be negative
+    ("UtilityCurve.a", "-1"), ("ScenarioConfig.a", "-1"), ("UtilityCurve.b", "-1"),
+    # check_draws refuses a run that draws too much, when it runs
+    ("ScenarioConfig.seed", "10**400"), ("ScenarioConfig.trials", "10**400"),
+    ("grid.lo", "-1"),  # a grid may start below 0
+}
+# the bad values a boundary refuses naming another field: the taxi q = 50
+# lies past N = True = 1.0
+NAMED_ELSEWHERE = {("ScenarioConfig.N", "True"): r"scenario field q: must lie in \(0, 1\.0\]"}
+
+
+@pytest.mark.parametrize("boundary", sorted(SCALAR_BOUNDARIES))
+@settings(deadline=None)
+@given(label=st.sampled_from(sorted(BAD_VALUES)))
+def test_every_scalar_boundary_keeps_a_number_or_names_itself(boundary, label):
+    pattern, build = SCALAR_BOUNDARIES[boundary]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # performance outside [0, 1]
+            kept = build(BAD_VALUES[label])
+    except ValueError as exc:
+        pattern = NAMED_ELSEWHERE.get((boundary, label), rf"(?:{pattern})\b")
+        assert re.match(pattern, str(exc)), (boundary, label, str(exc))
+        return
+    assert label == "True" or (boundary, label) in ACCEPTED, (boundary, label, kept)
+    assert type(kept) in (int, float) or (kept is None and label == "None"), (boundary, kept)
 
 
 class TestDataCost:

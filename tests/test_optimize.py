@@ -318,6 +318,11 @@ class TestGridArgmax:
             grid_argmax(lambda x: x, 1.0, 1.0, 10)
         with pytest.raises(ValueError):
             grid_argmax(lambda x: x, 0.0, 1.0, 1)
+        # a bound that is no number, or is past the float range, is named
+        with pytest.raises(ValueError, match="^grid bound hi: must be a number, got '1'$"):
+            grid(0, "1", 3)
+        with pytest.raises(ValueError, match=f"^grid bound lo: must be a number, got {10**400}$"):
+            grid(10**400, 10**401, 3)
         for lo, hi, name in ((0.0, float("inf"), "hi"), (float("-inf"), 1.0, "lo"),
                              (float("nan"), 1.0, "lo"), (0.0, float("nan"), "hi")):
             with pytest.raises(ValueError, match=f"bound {name} must be finite"):

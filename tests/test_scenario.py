@@ -140,7 +140,8 @@ class TestValidation:
     @pytest.mark.parametrize("kind", [np.float64, np.array])
     def test_a_numpy_scalar_parameter_is_a_number(self, name, kind):
         taxi = taxi_scenario()
-        assert replace(taxi, **{name: kind(getattr(taxi, name))}) == taxi
+        config = replace(taxi, **{name: kind(getattr(taxi, name))})
+        assert config == taxi and type(getattr(config, name)) is float
 
     @pytest.mark.parametrize("seed", [0, np.int64(5), 2**64, 2**200])
     def test_seeds_of_any_size_are_taken(self, seed):

@@ -313,6 +313,11 @@ class TestSweepValidation:
             sweep(small_config(), "q", 1.0, 100.0, 2.5)
         with pytest.raises(ValueError, match="bound hi"):
             sweep(small_config(), "price", 0.0, float("inf"), 10)
+        # a bound that is no number, or is past the float range, is named
+        with pytest.raises(ValueError, match="^grid bound hi: must be a number, got '100'$"):
+            sweep(small_config(), "q", 1.0, "100", 3)
+        with pytest.raises(ValueError, match=f"^grid bound lo: must be a number, got {10**400}$"):
+            sweep(small_config(), "k", 10**400, 10**401, 3)
 
     def test_price_sweep_requires_q(self):
         with pytest.raises(ValueError, match="field q"):
