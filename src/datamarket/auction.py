@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .market import UtilityCurve, ValuationModel, _require_all, _unwrap, require_positive
+from .market import (UtilityCurve, ValuationModel, _real, _reals, _require_all, _unwrap,
+                     require_positive)
 
 __all__ = [
     "virtual_valuation",
@@ -27,7 +28,7 @@ def virtual_valuation(v, model: ValuationModel):
     For valuations uniform on [0, s] this is 2*v - s, monotone in v.
     """
     s = model.support_max
-    arr = np.asarray(v, dtype=float)
+    arr = _reals("valuation", v)
     _require_all((arr >= 0.0) & (arr <= s),
                  lambda i: f"valuation {arr.flat[i]} outside the support [0, {s}]")
     return _unwrap(2.0 * arr - s)
@@ -35,9 +36,9 @@ def virtual_valuation(v, model: ValuationModel):
 
 def inverse_virtual(y: float, model: ValuationModel) -> float:
     """The valuation whose virtual valuation equals y."""
-    s = model.support_max
+    s, y = model.support_max, _real("y", y)
     if not -s <= y <= s:
-        raise ValueError(f"{y} outside the virtual-valuation image [{-s}, {s}]")
+        raise ValueError(f"y: must lie in the virtual-valuation image [{-s}, {s}], got {y}")
     return (y + s) / 2.0
 
 
@@ -73,4 +74,4 @@ def sale_profit(n_winners, price: float, cost: float):
 
     n_winners may be an array of counts, one per sale.
     """
-    return n_winners * price - cost
+    return n_winners * _real("price", price) - _real("cost", cost)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import UtilityCurve, _real, _require_all, data_utility, require_positive
+from .market import UtilityCurve, _real, _reals, _require_all, data_utility, require_positive
 
 __all__ = [
     "FitReport",
@@ -46,8 +46,8 @@ def _require_columns(names: str, first, second) -> None:
 
 def _checked_predictions(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     """y_true and y_pred as aligned float arrays of finite pairs."""
+    y_true, y_pred = _reals("y_true", y_true), _reals("y_pred", y_pred)
     _require_columns("y_true and y_pred", y_true, y_pred)
-    y_true, y_pred = np.asarray(y_true, dtype=float), np.asarray(y_pred, dtype=float)
     _require_all(np.isfinite(y_true) & np.isfinite(y_pred),
                  lambda i: f"prediction values must be finite, "
                            f"got ({float(y_true[i])}, {float(y_pred[i])})")
@@ -56,9 +56,9 @@ def _checked_predictions(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_points(q, alpha) -> tuple[np.ndarray, np.ndarray]:
     """q and alpha as aligned float arrays: q finite and positive, alpha in [0, 1]."""
+    q, alpha = _reals("data size", q), _reals("performance", alpha)
     _require_columns("q and alpha", q, alpha)
     q = require_positive("data size", q)
-    alpha = np.asarray(alpha, dtype=float, order="C")  # copied as require_positive does
     _require_all((alpha >= 0.0) & (alpha <= 1.0),  # NaN fails both
                  lambda i: f"performance must lie in [0, 1], got {float(alpha[i])}")
     return q, alpha

@@ -12,6 +12,7 @@ import math
 import numbers
 import operator
 import os
+import reprlib
 import sys
 import threading
 from dataclasses import dataclass
@@ -88,7 +89,7 @@ class ValuationModel:
     @classmethod
     def from_market(cls, curve: UtilityCurve, q: float, gamma: float) -> "ValuationModel":
         """Valuation distribution for a service built from q data units."""
-        require_positive("gamma", gamma)
+        gamma = require_positive("gamma", _real("gamma", gamma))
         r = require_positive(f"performance at data size {q}", data_utility(q, curve))
         return cls(support_max=r * gamma)
 
@@ -98,18 +99,16 @@ def require_positive(name: str, value, allow_zero: bool = False):
 
     A Python float or int (what _real and _require_integer return) is checked
     and returned as it is, with no numpy; an int past the float range is not
-    finite, and a str, which numpy would parse, fails with a TypeError.  Else
-    value is returned as a float array, checked as a float if 0-d; an empty
-    one passes; else the error names its first faulty element, flat index `index`.
+    finite.  Else value is returned as _reals converts it, checked as a float
+    if 0-d; an empty array passes; else the error names its first faulty
+    element, flat index `index`.
     """
     kind = "non-negative" if allow_zero else "positive"
-    if type(value) is float or type(value) is int or isinstance(value, str):
+    if type(value) is float or type(value) is int:
         if not ((0 <= value if allow_zero else 0 < value) and value <= sys.float_info.max):
             raise ValueError(f"{name}: must be {kind} and finite, got {value}")
         return value
-    # a strided view (a field of a CSV table) is copied: on 1e5 floats the copy
-    # costs what it saves the mask, and the caller's passes then run on it
-    arr = np.asarray(value, dtype=float, order="C")
+    arr = _reals(name, value)
     if arr.ndim:
         _require_all(np.isfinite(arr) & (arr >= 0 if allow_zero else arr > 0),
                      lambda i: f"{name}: must be {kind} and finite, got {arr.flat[i]}")
@@ -137,17 +136,32 @@ def _require_integer(name: str, value) -> int:
 
 def _real(name: str, value) -> float:
     """value as a Python float if it is one real number: a numbers.Real, bool
-    included, or a numpy scalar or 0-d array of bool, int or float dtype; else
-    (a str, bytes, complex, None, container or int past the float range) a
-    ValueError naming `name`.  A float or int skips the ABC check (about 1 us)."""
-    if type(value) in (float, int) or isinstance(value, numbers.Real) or (
-            isinstance(value, (np.ndarray, np.generic)) and value.shape == ()
-            and value.dtype.kind in "biuf"):
+    included, or a numpy scalar or 0-d array that _reals takes; else (a str,
+    bytes, complex, None, container or int past the float range) a ValueError
+    naming `name`.  A float or int skips the ABC check (about 1 us)."""
+    if type(value) in (float, int) or isinstance(value, numbers.Real):
         try:  # not contextlib.suppress: its with-statement makes a float's call 5x slower
             return float(value)
         except OverflowError:  # an int past the float range
             pass
+    elif isinstance(value, (np.ndarray, np.generic)) and value.shape == ():
+        return float(_reals(name, value))
     raise ValueError(f"{name}: must be a number, got {value!r}")
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a C-contiguous float64 array if numpy reads it with a bool,
+    int or float dtype; else (str, bytes, complex or object elements, or a
+    ragged nesting) a ValueError naming `name`, its value cut short by reprlib.
+    A strided view (a field of a CSV table) is copied: on 1e5 floats the copy
+    costs what it saves the masks, and the caller's passes then run on it."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "biuf":
+            return np.asarray(arr, dtype=float, order="C")
+    except ValueError:  # a ragged nesting
+        pass
+    raise ValueError(f"{name}: must be a number, got {reprlib.repr(value)}")
 
 
 def _unwrap(out):
@@ -157,7 +171,7 @@ def _unwrap(out):
 
 def data_cost(q, k: float):
     """Cost k*q of buying q data units at unit cost k; q may be an array."""
-    require_positive("k", k)
+    k = require_positive("k", _real("k", k))
     with np.errstate(over="ignore"):  # an infinite cost is reported below
         cost = k * require_positive("data size", q, True)
     return _unwrap(require_positive("data cost k*q", cost, True))
@@ -179,16 +193,20 @@ def valuation_cdf(v, model: ValuationModel):
     Accepts scalars or arrays.
     """
     with np.errstate(over="ignore"):  # a quotient past the float range clips to 1
-        return _unwrap(np.clip(np.asarray(v, dtype=float) / model.support_max, 0.0, 1.0))
+        return _unwrap(np.clip(_reals("valuation", v) / model.support_max, 0.0, 1.0))
 
 
 def sample_valuations(M: int, model: ValuationModel,
                       seed: int | np.random.Generator) -> np.ndarray:
-    """Draw M i.i.d. customer valuations; deterministic for a fixed seed.
+    """Draw M i.i.d. customer valuations; deterministic for a fixed seed >= 0.
 
     A Generator given as seed is drawn from as it is, so it advances.
     """
     M = require_positive("M", _require_integer("M", M))
+    if not isinstance(seed, np.random.Generator):
+        seed = _require_integer("seed", seed)
+        if seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     # preference degrees uniform on [0, 1], scaled by the support
     return model.support_max * rng.random(M)

@@ -13,6 +13,7 @@ from .market import (
     MarketParams,
     UtilityCurve,
     _real,
+    _reals,
     _require_all,
     _require_integer,
     _unwrap,
@@ -52,7 +53,7 @@ def expected_profit(q, params: MarketParams, curve: UtilityCurve):
     (giving a float) or an array of sizes in [0, N].
     """
     require_positive("utility-curve slope b", curve.b)
-    qs = np.asarray(require_positive("data size", q, True), dtype=float)
+    qs = _reals("data size", require_positive("data size", q, True))
     _require_all(qs <= params.N,
                  lambda i: f"data size must lie in [0, {params.N}], got {qs.flat[i]}")
     bought = qs > 0
@@ -89,11 +90,12 @@ def optimal_data_size(params: MarketParams, curve: UtilityCurve) -> ProfitReport
     )
 
 
-def concavity_check(params: MarketParams, curve: UtilityCurve, q: float) -> float:
-    """Second derivative of expected profit at q: -M*gamma*b/(4*q^2), never > 0."""
+def concavity_check(params: MarketParams, curve: UtilityCurve, q):
+    """Second derivative of expected profit at q: -M*gamma*b/(4*q^2), never > 0;
+    q may be an array."""
     require_positive("utility-curve slope b", curve.b)
-    require_positive("data size", q)
-    return -params.M * params.gamma * curve.b / (4.0 * q * q)
+    q = require_positive("data size", q)
+    return _unwrap(-params.M * params.gamma * curve.b / (4.0 * q * q))
 
 
 def grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -119,7 +121,7 @@ def grid_argmax(
     returns an array of the same shape (the closed forms accept arrays).
     """
     xs = grid(lo, hi, steps)
-    ys = np.asarray(f(xs), dtype=float)
+    ys = _reals("objective", f(xs))
     if ys.shape != xs.shape:
         raise ValueError(
             f"objective must evaluate the whole grid: got shape {ys.shape} "

@@ -22,14 +22,18 @@ from datamarket import (
     ScenarioConfig,
     UtilityCurve,
     ValuationModel,
+    concavity_check,
     data_cost,
     data_utility,
     evaluate_fit,
     expected_profit,
     grid_argmax,
     hit_rate,
+    inverse_virtual,
     least_squares_fit,
+    optimal_price,
     posted_price,
+    sale_profit,
     sample_valuations,
     sweep,
     taxi_scenario,
@@ -37,7 +41,7 @@ from datamarket import (
     virtual_valuation,
 )
 from datamarket import market
-from datamarket.market import (_BLOCK, _CHUNK, _UNITS, _count_buyers, _generators,
+from datamarket.market import (_BLOCK, _CHUNK, _UNITS, _count_buyers, _generators, _reals,
                                _seed_words, _unit_threshold, require_positive)
 from datamarket.optimize import grid
 
@@ -129,8 +133,8 @@ class TestTypes:
                 require_positive("M", value)
 
     def test_require_positive_refuses_text(self):
-        # numpy would parse "0.3"; the check refuses a str without it
-        with pytest.raises(TypeError):
+        # numpy would parse "0.3"; _reals refuses a str as no number
+        with pytest.raises(ValueError, match="^bid: must be a number, got '0.3'$"):
             require_positive("bid", "0.3", True)
 
 
@@ -172,6 +176,13 @@ SCALAR_BOUNDARIES = {
     "sweep.hi": ("grid bound hi|need lo < hi",
                  lambda value: sweep(SMALL, "price", 0.5, value, 2)[-1].value),
     "hit_rate.tau": ("tolerance", lambda value: hit_rate(Y, Y, value)),
+    "data_cost.k": ("k", lambda value: data_cost(1.0, value)),
+    "ValuationModel.from_market.gamma": (
+        "gamma", lambda value: ValuationModel.from_market(TAXI_CURVE, 50.0, value).support_max),
+    "optimal_price.gamma": ("gamma", lambda value: optimal_price(TAXI_CURVE, 50.0, value)),
+    "inverse_virtual.y": ("y", lambda value: inverse_virtual(value, ValuationModel(1.0))),
+    "sale_profit.price": ("price", lambda value: sale_profit(3, value, 1.0)),
+    "sale_profit.cost": ("cost", lambda value: sale_profit(3, 0.5, value)),
 }
 # the bad values a boundary takes by design: True, which is the number 1
 # everywhere, and these
@@ -182,6 +193,10 @@ ACCEPTED = {
     # check_draws refuses a run that draws too much, when it runs
     ("ScenarioConfig.seed", "10**400"), ("ScenarioConfig.trials", "10**400"),
     ("grid.lo", "-1"),  # a grid may start below 0
+    ("inverse_virtual.y", "-1"),  # the foot of the image [-1, 1]
+    # a sale's price and cost take any value: sale_profit only does the sum
+    *((f"sale_profit.{name}", label) for name in ("price", "cost")
+      for label in ("nan", "inf", "-inf", "-1")),
 }
 # the bad values a boundary refuses naming another field: the taxi q = 50
 # lies past N = True = 1.0
@@ -203,6 +218,63 @@ def test_every_scalar_boundary_keeps_a_number_or_names_itself(boundary, label):
         return
     assert label == "True" or (boundary, label) in ACCEPTED, (boundary, label, kept)
     assert type(kept) in (int, float) or (kept is None and label == "None"), (boundary, kept)
+
+
+# a value a caller may pass for an array by mistake, by label: text, None, a
+# complex, a ragged nesting, object elements and an int past int64
+BAD_ARRAYS = {
+    "['0.5']": ["0.5"], "[b'1']": [b"1"], "[None]": [None], "[1+0j]": [1 + 0j],
+    "[0.5, [1.0]]": [0.5, [1.0]], "array(['0.5'])": np.array(["0.5"]),
+    "array([0.5], object)": np.array([0.5], dtype=object), "[10**400]": [10**400],
+}
+GOOD = np.array([1.0])
+MODEL = ValuationModel(support_max=1.0)
+PARAMS = MarketParams(**MARKET)
+# each array boundary: the name its errors start with, and a call taking one
+# array there
+ARRAY_BOUNDARIES = {
+    "valuation_cdf": ("valuation", lambda value: valuation_cdf(value, MODEL)),
+    "virtual_valuation": ("valuation", lambda value: virtual_valuation(value, MODEL)),
+    "posted_price": ("bid", lambda value: posted_price(value, MODEL)),
+    "data_cost.q": ("data size", lambda value: data_cost(value, 0.5)),
+    "data_utility.q": ("data size", lambda value: data_utility(value, TAXI_CURVE)),
+    "expected_profit.q": ("data size", lambda value: expected_profit(value, PARAMS, TAXI_CURVE)),
+    "concavity_check.q": ("data size", lambda value: concavity_check(PARAMS, TAXI_CURVE, value)),
+    "hit_rate.y_true": ("y_true", lambda value: hit_rate(value, GOOD, 0.5)),
+    "hit_rate.y_pred": ("y_pred", lambda value: hit_rate(GOOD, value, 0.5)),
+    "least_squares_fit.q": ("data size", lambda value: least_squares_fit(value, GOOD)),
+    "least_squares_fit.alpha": ("performance", lambda value: least_squares_fit(GOOD, value)),
+    "evaluate_fit.q": ("data size", lambda value: evaluate_fit(TAXI_CURVE, value, GOOD)),
+    "evaluate_fit.alpha": ("performance", lambda value: evaluate_fit(TAXI_CURVE, GOOD, value)),
+    "grid_argmax.objective": ("objective", lambda value: grid_argmax(lambda xs: value, 0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(ARRAY_BOUNDARIES))
+@settings(deadline=None)
+@given(label=st.sampled_from(sorted(BAD_ARRAYS)))
+def test_every_array_boundary_names_itself_for_what_is_no_number(boundary, label):
+    name, call = ARRAY_BOUNDARIES[boundary]
+    with pytest.raises(ValueError, match=rf"^{name}: must be a number, got "):
+        call(BAD_ARRAYS[label])
+
+
+def test_an_array_that_is_no_number_keeps_its_message_short():
+    for value in (["0.5"] * 10**5, np.array(["0.5"] * 10**5), [[0.5]] * 10**5 + [0.5]):
+        with pytest.raises(ValueError, match="^bid: must be a number") as error:
+            posted_price(value, MODEL)
+        assert len(str(error.value)) < 200
+
+
+def test_reals_returns_a_contiguous_float_copy_of_what_numpy_reads_as_numbers():
+    table = np.array([(1, 0.5), (2, 1.5)], dtype=[("id", "i8"), ("bid", "f8")])
+    for value, want in ((table["bid"], [0.5, 1.5]), ([True, 2], [1.0, 2.0]),
+                        (np.arange(3, dtype=np.uint8), [0.0, 1.0, 2.0]), (2**63, 2.0**63)):
+        arr = _reals("bid", value)
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert arr.tolist() == want
+    column = np.ones(3)
+    assert _reals("bid", column) is column  # no copy where none is needed
 
 
 class TestDataCost:
@@ -451,6 +523,22 @@ class TestSampleValuations:
     def test_zero_customers_rejected(self, M):
         with pytest.raises(ValueError, match=r"^M: "):
             sample_valuations(M, ValuationModel(support_max=1.0), seed=0)
+
+    @pytest.mark.parametrize("seed, bad", [("0", "must be an integer, got '0'"),
+                                           (0.5, "must be an integer, got 0.5"),
+                                           (None, "must be an integer, got None"),
+                                           (-1, "must be >= 0, got -1")])
+    def test_a_seed_that_is_no_count_is_refused_naming_seed(self, seed, bad):
+        # None would draw from the OS's entropy, so no run could be repeated
+        with pytest.raises(ValueError, match=f"^seed: {bad}$"):
+            sample_valuations(5, ValuationModel(support_max=1.0), seed=seed)
+
+    def test_a_generator_seed_is_drawn_from(self):
+        model, rng = ValuationModel(support_max=1.0), np.random.default_rng(4)
+        assert np.array_equal(sample_valuations(5, model, rng),
+                              sample_valuations(5, model, np.random.default_rng(4)))
+        assert not np.array_equal(sample_valuations(5, model, rng),
+                                  sample_valuations(5, model, 4))
 
     def test_support_containment(self):
         model = ValuationModel(support_max=0.3)

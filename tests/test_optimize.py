@@ -252,6 +252,14 @@ class TestConcavityCheck:
         with pytest.raises(ValueError):
             concavity_check(TAXI_PARAMS, TAXI_CURVE, 0.0)
 
+    def test_array_of_sizes_is_checked_and_computed_on_the_checked_floats(self):
+        qs = [2.0, 39.5]
+        out = concavity_check(TAXI_PARAMS, TAXI_CURVE, qs)
+        assert out.tolist() == [concavity_check(TAXI_PARAMS, TAXI_CURVE, q) for q in qs]
+        assert type(concavity_check(TAXI_PARAMS, TAXI_CURVE, np.float64(2.0))) is float
+        with pytest.raises(ValueError, match=r"^data size: must be positive and finite, got 0\.0"):
+            concavity_check(TAXI_PARAMS, TAXI_CURVE, [2.0, 0.0])
+
 
 class TestGridArgmax:
     def test_known_parabola(self):
