@@ -3,12 +3,14 @@ import contextlib
 import math
 import os
 import re
+import reprlib
 import subprocess
 import sys
 import threading
 import types
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from datamarket import (
     virtual_valuation,
 )
 from datamarket import market
+from datamarket.csvio import read_bids
 from datamarket.market import (_BLOCK, _CHUNK, _UNITS, _count_buyers, _generators, _reals,
                                _seed_words, _unit_threshold, require_positive)
 from datamarket.optimize import grid
@@ -144,7 +147,7 @@ BAD_VALUES = {
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "True": True,
     "10**400": 10**400, "array('0.5')": np.array("0.5"), "array(b'1')": np.array(b"1"),
     "complex128": np.complex128(0.5 + 1j), "array(0.5+1j)": np.array(0.5 + 1j),
-    "array(None)": np.array(None, dtype=object),
+    "array(None)": np.array(None, dtype=object), "Fraction(1, 2)": Fraction(1, 2),
 }
 SMALL = ScenarioConfig(M=5, k=0.5, gamma=1.0, N=100.0, a=0.4944, b=0.0079, q=50.0, trials=1)
 Y = np.array([600.0, 630.0])
@@ -221,11 +224,12 @@ def test_every_scalar_boundary_keeps_a_number_or_names_itself(boundary, label):
 
 
 # a value a caller may pass for an array by mistake, by label: text, None, a
-# complex, a ragged nesting, object elements and an int past int64
+# complex, a ragged nesting, object elements and ints past int64
 BAD_ARRAYS = {
     "['0.5']": ["0.5"], "[b'1']": [b"1"], "[None]": [None], "[1+0j]": [1 + 0j],
     "[0.5, [1.0]]": [0.5, [1.0]], "array(['0.5'])": np.array(["0.5"]),
     "array([0.5], object)": np.array([0.5], dtype=object), "[10**400]": [10**400],
+    "[2**70]": [2**70],
 }
 GOOD = np.array([1.0])
 MODEL = ValuationModel(support_max=1.0)
@@ -266,15 +270,47 @@ def test_an_array_that_is_no_number_keeps_its_message_short():
         assert len(str(error.value)) < 200
 
 
-def test_reals_returns_a_contiguous_float_copy_of_what_numpy_reads_as_numbers():
-    table = np.array([(1, 0.5), (2, 1.5)], dtype=[("id", "i8"), ("bid", "f8")])
-    for value, want in ((table["bid"], [0.5, 1.5]), ([True, 2], [1.0, 2.0]),
-                        (np.arange(3, dtype=np.uint8), [0.0, 1.0, 2.0]), (2**63, 2.0**63)):
-        arr = _reals("bid", value)
-        assert arr.dtype == np.float64 and arr.flags.c_contiguous
-        assert arr.tolist() == want
+def test_reals_returns_a_float64_array_as_it_is_and_converts_other_numbers(tmp_path):
+    path = tmp_path / "bids.csv"
+    path.write_text("customer_id,bid\na,0.5\nb,1.5\n", encoding="utf-8")
     column = np.ones(3)
-    assert _reals("bid", column) is column  # no copy where none is needed
+    for value in (column, column[::2], read_bids(path)["bid"], np.ones((2, 2)).T):
+        arr = _reals("bid", value)  # a CSV table's strided field is not copied
+        assert np.shares_memory(arr, value) and arr.dtype == np.float64
+    for value, want in (([True, 2], [1.0, 2.0]), (np.arange(3, dtype=np.uint8), [0.0, 1.0, 2.0]),
+                        (np.array([-3, 2**62]), [-3.0, 2.0**62]), (2**63, 2.0**63),
+                        (2**70, 2.0**70), (np.float32(0.5), 0.5)):
+        arr = _reals("bid", value)
+        assert arr.dtype == np.float64 and not np.shares_memory(arr, value)
+        assert arr.tolist() == want
+
+
+BIG = 2**70
+# each entry taking a data size or a valuation, the name its errors start
+# with, and a call of it
+BIG_INT_ENTRIES = {
+    "data_utility": ("data size", lambda q: data_utility(q, TAXI_CURVE)),
+    "data_cost": ("data size", lambda q: data_cost(q, 0.5)),
+    "expected_profit": ("data size", lambda q: expected_profit(
+        q, MarketParams(M=10, k=0.5, gamma=1.0, N=1e30), TAXI_CURVE)),
+    "concavity_check": ("data size", lambda q: concavity_check(PARAMS, TAXI_CURVE, q)),
+    "valuation_cdf": ("valuation", lambda v: valuation_cdf(v, ValuationModel(2.0**72))),
+    "optimal_price": ("data size", lambda q: optimal_price(TAXI_CURVE, q, 1.0)),
+    "ValuationModel.from_market": (
+        "data size", lambda q: ValuationModel.from_market(TAXI_CURVE, q, 1.0).support_max),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BIG_INT_ENTRIES))
+def test_an_int_past_int64_is_the_float_it_is_alone_and_no_number_in_a_list(entry):
+    name, call = BIG_INT_ENTRIES[entry]
+    got, want = call(BIG), call(float(BIG))
+    assert type(got) is float and got.hex() == want.hex()
+    # numpy holds [2**70] only as an object, and a Fraction is no number it reads
+    for value in ([BIG], Fraction(1, 2)):
+        with pytest.raises(ValueError, match=f"^{name}: must be a number, got "
+                                             f"{re.escape(reprlib.repr(value))}$"):
+            call(value)
 
 
 class TestDataCost:

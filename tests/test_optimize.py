@@ -1,5 +1,6 @@
 import math
 import re
+import reprlib
 
 import numpy as np
 import pytest
@@ -329,7 +330,9 @@ class TestGridArgmax:
         # a bound that is no number, or is past the float range, is named
         with pytest.raises(ValueError, match="^grid bound hi: must be a number, got '1'$"):
             grid(0, "1", 3)
-        with pytest.raises(ValueError, match=f"^grid bound lo: must be a number, got {10**400}$"):
+        # an int past the float range is shown as _reals shows any value, cut short
+        with pytest.raises(ValueError, match=f"^grid bound lo: must be a number, got "
+                                             f"{re.escape(reprlib.repr(10**400))}$"):
             grid(10**400, 10**401, 3)
         for lo, hi, name in ((0.0, float("inf"), "hi"), (float("-inf"), 1.0, "lo"),
                              (float("nan"), 1.0, "lo"), (0.0, float("nan"), "hi")):

@@ -1,5 +1,6 @@
 import math
 import re
+import reprlib
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -316,7 +317,8 @@ class TestSweepValidation:
         # a bound that is no number, or is past the float range, is named
         with pytest.raises(ValueError, match="^grid bound hi: must be a number, got '100'$"):
             sweep(small_config(), "q", 1.0, "100", 3)
-        with pytest.raises(ValueError, match=f"^grid bound lo: must be a number, got {10**400}$"):
+        with pytest.raises(ValueError, match=f"^grid bound lo: must be a number, got "
+                                             f"{re.escape(reprlib.repr(10**400))}$"):
             sweep(small_config(), "k", 10**400, 10**401, 3)
 
     def test_price_sweep_requires_q(self):
