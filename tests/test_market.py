@@ -135,6 +135,12 @@ class TestTypes:
             with pytest.raises(ValueError, match="^M: must be positive and finite, got 1"):
                 require_positive("M", value)
 
+    def test_require_positive_returns_a_python_float_for_any_scalar(self):
+        # so numpy never sees a Python int, and a 0-d value leaves as a float
+        for value in (3, 2**70, True, 0.5, np.float64(0.5), np.int64(3), np.array(0.5)):
+            kept = require_positive("q", value)
+            assert type(kept) is float and kept == float(value)
+
     def test_require_positive_refuses_text(self):
         # numpy would parse "0.3"; _reals refuses a str as no number
         with pytest.raises(ValueError, match="^bid: must be a number, got '0.3'$"):

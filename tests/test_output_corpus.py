@@ -5,7 +5,7 @@ recorded.
 The inputs are made here with no random draws.  Scenario i takes its fields
 from log-uniform grids (three values a decade, strings as a config file
 holds them) at the digits of i * STEP in the mixed radix of the grids' sizes,
-so successive scenarios differ in every field: k, gamma, N, a, b and q, with
+so successive scenarios differ in most fields: k, gamma, N, a, b and q, with
 M in 1-100, trials in 1-4 and four seeds, two of which cross a multiple of
 2**32 within a run.  Each scenario is run through `optimize`, `simulate` and
 a `sweep` over each of price, q, k and gamma; the price sweep's rows are 0,
@@ -58,7 +58,7 @@ GRIDS = {
     "seed": ["0", "12345", str(2**32 - 2), str(2**70 + 3)],
 }
 SCENARIOS = 200
-# a large odd step: successive scenarios differ in every field
+# a large odd step: successive scenarios differ in most fields
 STEP = 1_000_003
 FILES = 120  # of each of auction, fit and metric
 
@@ -148,7 +148,7 @@ def commands():
         points = [[sizes[(j + 5 * r) % len(sizes)], levels[(j // 10 + 3 * r) % len(levels)]]
                   for r in range(n)]
         yield ["fit", "--points", "{points}"], {"points": _rows("q,performance", points)}
-        # metric: predictions a log-uniform factor off, tau from the k grid
+        # metric: predictions a log-uniform factor off, tau from 1 to 470
         values = _decades(0, 3)
         predictions = [[values[(j + r) % 12], values[(j + 3 * r + 1) % 12]]
                        for r in range(n)]

@@ -38,17 +38,18 @@ PACKAGE = Path("src") / "datamarket"
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 # the test files run against a mutant of each module: its own, and those
-# that drive it from another layer
+# that drive it from another layer; the output corpus for the modules whose
+# mutants can move a printed digit
 TESTS = {
     "__init__": ["test_package.py"],
     "auction": ["test_auction.py", "test_acceptance.py"],
-    "cli": ["test_cli.py", "test_fuzz.py"],
+    "cli": ["test_cli.py", "test_fuzz.py", "test_output_corpus.py"],
     "csvio": ["test_csvio.py", "test_cli.py", "test_fuzz.py", "test_refusal_corpus.py"],
     "fitting": ["test_fitting.py", "test_acceptance.py"],
     "market": ["test_market.py", "test_auction.py", "test_acceptance.py"],
-    "optimize": ["test_optimize.py", "test_acceptance.py"],
+    "optimize": ["test_optimize.py", "test_acceptance.py", "test_output_corpus.py"],
     "scenario": ["test_scenario.py", "test_cli.py"],
-    "simulate": ["test_simulate.py", "test_acceptance.py"],
+    "simulate": ["test_simulate.py", "test_acceptance.py", "test_output_corpus.py"],
 }
 # the unmutated runs' limit; a mutant, which may loop forever, gets three
 # times its module's unmutated run and ten seconds more
