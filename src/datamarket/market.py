@@ -387,11 +387,15 @@ def _count_buyers(M: int, units, first_seed: int, trials: int) -> np.ndarray:
     The drawn seeds are cut into _parts contiguous parts: the caller's thread
     counts the first and one more thread each of the rest.  Each part draws
     its raw outputs a chunk of at most _CHUNK // parts at a time, so the run
-    holds at most _CHUNK.  A fault in any part is raised here once every part
-    has stopped.
+    holds at most _CHUNK.  A part seeds each run of adjacent rows, whose seeds
+    are adjacent, as one stream hashed in whole blocks.  A fault in any part is
+    raised here once every part has stopped.
     """
     counts = np.zeros((len(units), trials), dtype=np.int64)
-    drawing = [row for row, unit in enumerate(units) if unit < _UNITS]
+    flat = counts.reshape(-1)  # row r, trial t at r * trials + t: its seed's offset
+    thresholds = {row: np.uint64(unit << 11) for row, unit in enumerate(units)
+                  if unit < _UNITS}
+    drawing = list(thresholds)
     # drawn seed j is trial j % trials of row drawing[j // trials]
     seeds = len(drawing) * trials
     parts = _parts(M, seeds)
@@ -402,17 +406,23 @@ def _count_buyers(M: int, units, first_seed: int, trials: int) -> np.ndarray:
         start, stop = bounds[part], bounds[part + 1]
         try:
             while start < stop:
-                row, first = drawing[start // trials], start % trials
-                n = min(stop - start, trials - first)
-                threshold = np.uint64(units[row] << 11)
-                for t, bg in enumerate(_generators(first_seed + row * trials + first, n),
-                                       first):
+                i = start // trials
+                j = i + 1  # drawing[i:j] are adjacent rows: equal drawing[k] - k
+                while j * trials < stop and drawing[j] - j == drawing[i] - i:
+                    j += 1
+                end = min(stop, j * trials)
+                at = (drawing[i] - i) * trials + start  # drawn seed start's offset
+                for index, bg in enumerate(_generators(first_seed + at, end - start), at):
+                    threshold = thresholds[index // trials]
+                    if M <= chunk:  # one draw, with no chunk loop to set up
+                        flat[index] = np.count_nonzero(bg.random_raw(M) >= threshold)
+                        continue
                     total = 0
                     for begin in range(0, M, chunk):  # no chunk outlives its count
                         total += np.count_nonzero(
                             bg.random_raw(min(chunk, M - begin)) >= threshold)
-                    counts[row, t] = total
-                start += n
+                    flat[index] = total
+                start = end
         except Exception as exc:  # raised in the caller's thread
             faults[part] = exc
 

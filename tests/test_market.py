@@ -668,15 +668,26 @@ def replayed_count(M, model, price, seed):
     return int(np.count_nonzero(sample_valuations(M, model, seed) >= price))
 
 
+class Drawn:
+    """A bit generator that keeps the size of each draw made from it."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator, self.sizes = bit_generator, []
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.bit_generator.random_raw(size)
+
+
 def raw_count(M, model, price, seed):
-    """The count _count_buyers makes of the one trial of seed, and the bit
-    generator it drew from (None if it took none)."""
+    """The count _count_buyers makes of the one trial of seed, and the Drawn
+    bit generator it drew from (None if it took none)."""
     taken, generators = [], market._generators
 
     def keeping(first_seed, n):
         for bit_generator in generators(first_seed, n):
-            taken.append(bit_generator)
-            yield bit_generator
+            taken.append(Drawn(bit_generator))
+            yield taken[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(market, "_generators", keeping)
@@ -720,18 +731,26 @@ class TestBuyerCount:
         assert count == replayed_count(M, model, price, 5)
         replay = np.random.default_rng(5)
         replay.random(M)
-        assert bg.state == replay.bit_generator.state
+        assert bg.bit_generator.state == replay.bit_generator.state
+        # one draw up to a chunk, and no draw past one
+        assert sum(bg.sizes) == M and max(bg.sizes) <= _CHUNK
+        assert len(bg.sizes) == -(-M // _CHUNK)
 
-    def test_a_draw_at_the_threshold_counts(self):
+    @pytest.mark.parametrize("chunk", [_CHUNK, 64])
+    def test_a_draw_at_the_threshold_counts(self, chunk):
         # at support 1 raw output r gives exactly the valuation (r >> 11) / 2**53;
         # draw 308 of seed 0 has its low 11 bits zero, so priced at its own
-        # valuation it equals the raw threshold
+        # valuation it equals the raw threshold.  A trial of 309 draws makes
+        # one draw, or at a chunk of 64 five, the draw at the threshold in the fifth
         raw = int(np.random.default_rng(0).bit_generator.random_raw(309)[308])
         assert raw % 2048 == 0
         model = ValuationModel(support_max=1.0)
         price = float(sample_valuations(309, model, 0)[308])
         assert _unit_threshold(1.0, price) << 11 == raw
-        assert raw_count(309, model, price, 0)[0] == replayed_count(309, model, price, 0)
+        with split_into(1, chunk):
+            count, bg = raw_count(309, model, price, 0)
+        assert count == replayed_count(309, model, price, 0)
+        assert bg.sizes == ([309] if chunk > 309 else [64] * 4 + [53])
 
     @pytest.mark.parametrize("support, price", [
         (1e-6, 1e308), (5e-324, 1e308), (1e308, 1e308), (1.0, 1.0),
@@ -846,6 +865,43 @@ class TestSplitRun:
         M, units = 2 * _CHUNK + 1, [_UNITS // 2, _UNITS // 7]
         serial = assert_split_keeps_the_counts(M, units, 5, 2, 3)
         assert serial.tolist() == replayed_counts(M, units, 5, 2)
+
+
+@contextlib.contextmanager
+def hashed_seeds():
+    """The (first seed, count) of each _seed_words call made in the block."""
+    calls, seed_words = [], market._seed_words
+
+    def recording(first_seed, n):
+        calls.append((first_seed, n))
+        return seed_words(first_seed, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "_seed_words", recording)
+        yield calls
+
+
+class TestSeedStream:
+    """A part seeds each run of adjacent drawing rows as one stream."""
+
+    def test_adjacent_rows_are_hashed_in_whole_blocks(self):
+        # one part (M < _SPLIT_M): 10**4 consecutive seeds, 10 blocks, not 100 rows
+        with hashed_seeds() as calls:
+            counts = _count_buyers(1, [_UNITS // 2] * 100, 5, 100)
+        assert calls == [(5 + b * _BLOCK, min(_BLOCK, 10**4 - b * _BLOCK))
+                         for b in range(10)]
+        assert counts.shape == (100, 100)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_a_row_that_draws_nothing_ends_a_run_and_hashes_no_seed(self, parts):
+        units = [_UNITS // 2, _UNITS // 3, _UNITS, 0, _UNITS // 5]
+        with split_into(parts), hashed_seeds() as calls:
+            counts = _count_buyers(7, units, 10, 3)
+        hashed = sorted(seed for first, n in calls for seed in range(first, first + n))
+        assert hashed == [10 + row * 3 + t for row in (0, 1, 3, 4) for t in range(3)]
+        if parts == 1:
+            assert calls == [(10, 6), (19, 6)]
+        assert counts.tolist() == replayed_counts(7, units, 10, 3)
 
 
 class TestSplitThreads:

@@ -222,6 +222,28 @@ class TestDrawBound:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 0.25e6, peaks
 
+    @pytest.mark.parametrize("parts", [1, 4])
+    def test_memory_does_not_grow_with_trials_past_the_counts(self, parts, monkeypatch):
+        # a run holds its int64 counts, 8 bytes a trial, and no per-part list
+        # of counts.  Each part also hashes one block of seeds at a time,
+        # whose words take about 180 kB at _BLOCK = 1024; small blocks keep
+        # what the parts' overlap in time adds well inside the slack
+        monkeypatch.setattr(market, "_cpus", lambda: parts)
+        monkeypatch.setattr(market, "_SPLIT_M", 1)
+        monkeypatch.setattr(market, "_SPLIT_DRAWS", 1)
+        monkeypatch.setattr(market, "_BLOCK", 64)
+        unit = market._UNITS // 2
+        market._count_buyers(1, [unit], 0, 4 * parts)  # the caches are filled
+        peaks = {}
+        for trials in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                market._count_buyers(1, [unit], 0, trials)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10**5] - peaks[10**4] <= 8 * (10**5 - 10**4) + 0.1e6, peaks
+
     def test_factors_are_integers_before_they_multiply(self):
         # "3" * (M * trials) would build a 1 MB string before failing
         tracemalloc.start()
