@@ -401,6 +401,7 @@ def _count_buyers(M: int, units, first_seed: int, trials: int) -> np.ndarray:
     parts = _parts(M, seeds)
     bounds = [seeds * part // parts for part in range(parts + 1)]
     chunk, faults = _CHUNK // parts, [None] * parts
+    sizes = [min(chunk, M - begin) for begin in range(0, M, chunk)]  # a trial's draws
 
     def count(part):
         start, stop = bounds[part], bounds[part + 1]
@@ -413,14 +414,9 @@ def _count_buyers(M: int, units, first_seed: int, trials: int) -> np.ndarray:
                 end = min(stop, j * trials)
                 at = (drawing[i] - i) * trials + start  # drawn seed start's offset
                 for index, bg in enumerate(_generators(first_seed + at, end - start), at):
-                    threshold = thresholds[index // trials]
-                    if M <= chunk:  # one draw, with no chunk loop to set up
-                        flat[index] = np.count_nonzero(bg.random_raw(M) >= threshold)
-                        continue
-                    total = 0
-                    for begin in range(0, M, chunk):  # no chunk outlives its count
-                        total += np.count_nonzero(
-                            bg.random_raw(min(chunk, M - begin)) >= threshold)
+                    threshold, total = thresholds[index // trials], 0
+                    for size in sizes:  # no chunk outlives its count
+                        total += np.count_nonzero(bg.random_raw(size) >= threshold)
                     flat[index] = total
                 start = end
         except Exception as exc:  # raised in the caller's thread

@@ -30,16 +30,18 @@ __all__ = ["SimulationReport", "SweepResultRow", "SWEEP_PARAMETERS", "MAX_DRAWS"
 
 SWEEP_PARAMETERS = ("price", "q", "k", "gamma")
 # The most valuations one run may draw: M per trial, times trials per row,
-# times rows.  _count_buyers counts 10**8 (100 trials of M = 10**6) in 0.28 s
-# on one thread and 0.17-0.19 s split across two, min of 7 on a 2-vCPU Xeon.  It
-# bounds time alone: a run holds at most a chunk of 65536 raw draws (0.5 MB)
-# whatever M is and however many threads count it.  The largest benchmark
-# command, a sweep of 100 rows of 100 trials of M = 10**4, draws exactly 10**8.
+# times rows.  _count_buyers counts 10**8 (100 trials of M = 10**6) in
+# 0.29-0.37 s on one thread and 0.18-0.24 s split across two, min of 7 on a
+# 2-vCPU Xeon.  It bounds time alone: a run holds at most a chunk of 65536 raw
+# draws (0.5 MB) whatever M is and however many threads count it.  The largest
+# benchmark command, a sweep of 100 rows of 100 trials of M = 10**4, draws
+# exactly 10**8.
 MAX_DRAWS = 10**8
 # The most trials one run may make: trials per row, times rows.  A trial of
-# M = 1 costs _count_buyers 3.0-3.2 us on one thread (10**5 in 0.30-0.32 s, min
-# of 7, same machine), and 5.6-6.8 us split across two, which a run of M = 1
-# never is; so 10**6 trials take about 3 s.  The largest benchmark command makes 10**4.
+# M = 1 costs _count_buyers 3.4-3.7 us on one thread (10**5 in 0.34-0.37 s,
+# min of 7, same machine), and 5.8-7.4 us split across two, which a run of
+# M = 1 never is; so 10**6 trials take about 4 s.  The largest benchmark
+# command makes 10**4.
 MAX_TRIALS = 10**6
 
 
