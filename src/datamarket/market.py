@@ -7,6 +7,7 @@ to M customers whose willingness to pay is proportional to that performance.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -258,10 +259,7 @@ def _seed_words(first_seed: int, n: int) -> np.ndarray:
     seed below 2**128 fills the rest of the pool with zero words, which hash as
     missing words do.  Words past the pool are mixed into every pool word.
     """
-    high, words = first_seed >> 32, []
-    while high:
-        words.append(high & _MASK32)
-        high >>= 32
+    words = [first_seed >> at & _MASK32 for at in range(32, first_seed.bit_length(), 32)]
     extra = words[_POOL - 1:]
     pool = np.zeros((_POOL, n), dtype=np.uint32)
     pool[0] = np.uint32(first_seed & _MASK32) + np.arange(n, dtype=np.uint32)
@@ -338,24 +336,24 @@ def _unit_threshold(support_max: float, price: float) -> int:
 
     Rounding a product by a positive factor is monotone in the other factor,
     so a valuation drawn from raw output r reaches the price exactly when
-    r >> 11 >= k.  A bisection finds k.  Its first two probes lie two units
-    either side of price / support_max * 2**53 (at the ends if that is not
-    finite), which is within a unit of k unless the quotient is subnormal, so
-    it takes at most four probes where a blind one takes 54; whatever they
-    are, each probe keeps it exact.
+    r >> 11 >= k.  Two probes two units either side of price / support_max *
+    2**53 (at the ends if that is not finite) narrow k's range; bisect_left
+    searches what is left.  The quotient is within a unit of k unless it is
+    subnormal, so that takes at most four probes where a blind search takes
+    54; whatever the probes are, each keeps the search exact.
     """
+    def reaches(k):
+        return support_max * (k / _UNITS) >= price
+
     lo, hi = -1, _UNITS  # k is in (lo, hi]: lo does not reach the price, hi does
     # not finite if the price is not, or if it dwarfs the support
     guess = price / support_max * _UNITS
-    probes = ([int(guess) - 2, int(guess) + 2] if math.isfinite(guess)
-              else [0, _UNITS - 1])
-    while hi - lo > 1:
-        k = min(max(probes.pop(), lo + 1), hi - 1) if probes else (lo + hi) // 2
-        if support_max * (k / _UNITS) >= price:
-            hi = k
-        else:
-            lo = k
-    return hi
+    for probe in ([int(guess) + 2, int(guess) - 2] if math.isfinite(guess)
+                  else [_UNITS - 1, 0]):
+        if hi - lo > 1:
+            k = min(max(probe, lo + 1), hi - 1)
+            lo, hi = (lo, k) if reaches(k) else (k, hi)
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=reaches)
 
 
 def _cpus() -> int:
@@ -407,10 +405,10 @@ def _count_buyers(M: int, units, first_seed: int, trials: int) -> np.ndarray:
         start, stop = bounds[part], bounds[part + 1]
         try:
             while start < stop:
-                i = start // trials
-                j = i + 1  # drawing[i:j] are adjacent rows: equal drawing[k] - k
-                while j * trials < stop and drawing[j] - j == drawing[i] - i:
-                    j += 1
+                i, rows = start // trials, -(-stop // trials)  # rows: past the part's last
+                # drawing[i:j] are adjacent rows: equal drawing[k] - k
+                j = next((j for j in range(i + 1, rows)
+                          if drawing[j] - j != drawing[i] - i), rows)
                 end = min(stop, j * trials)
                 at = (drawing[i] - i) * trials + start  # drawn seed start's offset
                 for index, bg in enumerate(_generators(first_seed + at, end - start), at):

@@ -179,7 +179,8 @@ def sweep(
     per-trial seeding scheme across grid rows; a rejected row draws nothing,
     and later rows keep their seeds.  A fault of the scenario alone, found
     before any row, is a ScenarioError; any other is a plain ValueError, and
-    of a row's faults the first in row order is raised.
+    of a row's faults the first in row order is raised, prefixed with the
+    row's parameter, value and position and carrying the row as `index`.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
@@ -236,8 +237,17 @@ def sweep(
         plan.append((value, columns, price, *sale))
     counts = _count_buyers(params.M, [unit for *_, unit in plan], config.seed,
                            config.trials)
-    rows = [SweepResultRow(value, *columns, *_profit_stats(row_counts, price, cost))
-            for (value, columns, price, cost, _), row_counts in zip(plan, counts)]
+    rows = []
+    for (value, columns, price, cost, _), row_counts in zip(plan, counts):
+        try:
+            stats = _profit_stats(row_counts, price, cost)
+        except ValueError as exc:
+            fault = exc
+            break
+        rows.append(SweepResultRow(value, *columns, *stats))
     if fault is not None:
-        raise fault
+        r = len(rows)  # the first faulty row: every row before it has counted
+        error = ValueError(f"{parameter} = {values[r]} (row {r + 1} of {steps}): {fault}")
+        error.index = r
+        raise error
     return rows

@@ -374,7 +374,7 @@ class TestSweep:
          "q sweep must stay within (0, 100.0], got [1.0, 101.0]"),
         # the second row's gamma, 5e307, overflows; the scenario's does not matter
         (["--param", "gamma", "--lo", "1", "--hi", "1e308"], False,
-         "expected profit overflows at data size "),
+         "gamma = 5e+307 (row 2 of 3): expected profit overflows at data size "),
         (["--param", "price", "--lo", "-1", "--hi", "1"], False,
          "price sweep needs lo >= 0, got -1.0"),
     ], ids=("q-star", "q-grid", "gamma-row", "price-lo"))
@@ -455,9 +455,10 @@ class TestExitCodes:
         assert cli_main([*argv, "--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert "inf" not in captured.out
-        # the gamma sweep overflows at a row its flags chose, so only the
-        # others, which overflow on the scenario alone, name the file
-        named = "" if "gamma" in argv else f"{config}: "
+        # the gamma sweep overflows at a row its flags chose, and names that
+        # row; only the others, which overflow on the scenario alone, name the file
+        named = ("gamma = 3.333333333333333e+307 (row 2 of 4): " if "gamma" in argv
+                 else f"{config}: ")
         assert f"error: {named}expected profit overflows" in captured.err
 
     @pytest.mark.parametrize("argv", [
@@ -494,36 +495,37 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "warning:" not in captured.err
         assert "inf" not in captured.out
-        named = "" if argv[0] == "sweep" else f"{config}: "
+        named = "gamma = 5e+302 (row 2 of 3): " if argv[0] == "sweep" else f"{config}: "
         assert f"error: {named}Monte-Carlo profit overflows" in captured.err
 
     @pytest.mark.parametrize("scenario, argv, err", [
         # row 0's Monte-Carlo overflows, though row 1's expected profit does too
-        ({}, ["gamma", "1e154", "1e308", "2"],
+        ({}, ["gamma", "1e154", "1e308", "2"], "gamma = 1e+154 (row 1 of 2): "
          "Monte-Carlo profit overflows: mean 1.3272175015954995e+157, std inf"),
         # row 0 counts; row 1's expected profit overflows
-        ({}, ["gamma", "1e152", "1e308", "2"], "expected profit overflows at data "
-                                               "size 100.0: M*gamma*r(q)/4 - k*q = inf"),
-        ({}, ["gamma", "1e-3", "1e155", "3"],
+        ({}, ["gamma", "1e152", "1e308", "2"], "gamma = 1e+308 (row 2 of 2): expected "
+         "profit overflows at data size 100.0: M*gamma*r(q)/4 - k*q = inf"),
+        ({}, ["gamma", "1e-3", "1e155", "3"], "gamma = 5e+154 (row 2 of 3): "
          "Monte-Carlo profit overflows: mean 6.628656576154928e+157, std inf"),
-        ({"gamma": "1e300"}, ["q", "1", "100", "3"],
+        ({"gamma": "1e300"}, ["q", "1", "100", "3"], "q = 1.0 (row 1 of 3): "
          "Monte-Carlo profit overflows: mean 1.2362472000000002e+303, std inf"),
-        ({"gamma": "1e300"}, ["price", "0", "1e300", "3"],
+        ({"gamma": "1e300"}, ["price", "0", "1e300", "3"], "price = 5e+299 (row 2 of 3): "
          "Monte-Carlo profit overflows: mean 2.3299999999999997e+302, std inf"),
-        ({"gamma": "1e300"}, ["k", "1e-3", "1", "3"],
+        ({"gamma": "1e300"}, ["k", "1e-3", "1", "3"], "k = 0.001 (row 1 of 3): "
          "Monte-Carlo profit overflows: mean 1.3272175015954994e+303, std inf"),
         # row 0 counts; row 1's data cost overflows
-        ({"k": "1e307"}, ["q", "1", "100", "3"],
+        ({"k": "1e307"}, ["q", "1", "100", "3"], "q = 50.5 (row 2 of 3): "
          "data cost k*q: must be non-negative and finite, got inf"),
-        ({"k": "1e306"}, ["q", "1", "100", "30"],
+        ({"k": "1e306"}, ["q", "1", "100", "30"], "q = 18.06896551724138 (row 6 of 30): "
          "Monte-Carlo profit overflows: mean -1.806896551724138e+307, std inf"),
-        ({"a": "-0.03"}, ["q", "1", "100", "4"],
+        ({"a": "-0.03"}, ["q", "1", "100", "4"], "q = 1.0 (row 1 of 4): "
          "performance at data size 1.0: must be positive and finite, got -0.03"),
     ])
     def test_a_sweep_failing_mid_grid_names_its_first_faulty_row(
             self, tmp_path, scenario, argv, err, capsys):
         # recorded from the row-by-row sweep: the first fault in row order is
-        # raised, whether it is a row's analytic column or its Monte-Carlo
+        # raised, whether it is a row's analytic column or its Monte-Carlo, and
+        # named by the row's parameter, value and position
         config = tmp_path / "mid.cfg"
         text = taxi_scenario_path().read_text(encoding="utf-8")
         for key, value in scenario.items():

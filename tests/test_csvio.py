@@ -378,6 +378,26 @@ def test_a_comma_free_run_is_measured_across_reads(tmp_path, extra, fits):
     assert not csvio._scan(path)
 
 
+# a comma-free id from near the end of the first MiB past the end of the
+# second: the run _scan carries through the second block, which holds no comma,
+# is over the limit, so the row reader refuses the id, and auction with it
+def test_a_comma_free_id_over_a_whole_block_is_refused(tmp_path, capsys):
+    limit = csv.field_size_limit()
+    rows = b"".join(b"%06d,1\n" % i for i in range(((1 << 20) - 1024) // 9))
+    start = len(b"customer_id,bid\n" + rows)  # the id's first byte
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"customer_id,bid\n" + rows + b"a" * (3 << 19) + b",1\n")
+    assert (1 << 20) - start < limit and start + (3 << 19) > 2 << 20
+    assert not csvio._scan(path)
+    message = f"{path}:{len(rows) // 9 + 2}: field larger than field limit ({limit})"
+    with pytest.raises(ValueError) as excinfo:
+        read_bids(path)
+    assert str(excinfo.value) == message
+    assert cli_main(["auction", "--bids", str(path),
+                     "--config", str(taxi_scenario_path())]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.fixture
 def set_limit():
     """csv.field_size_limit, which the test may call to set the limit: the

@@ -859,6 +859,7 @@ class TestSplitRun:
         with split_into(4):
             assert _count_buyers(10, [], 0, 3).shape == (0, 3)
             assert _count_buyers(10, [_UNITS, _UNITS], 0, 3).tolist() == [[0] * 3] * 2
+            assert _count_buyers(10, [_UNITS // 2] * 2, 0, 0).shape == (2, 0)  # no trial
 
     def test_chunks_split_a_trial_across_parts(self):
         # 2 * _CHUNK + 1 draws a trial, in chunks of _CHUNK // 3

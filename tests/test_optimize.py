@@ -228,6 +228,11 @@ class TestConcavityCheck:
         params = MarketParams(M=4, k=0.5, gamma=1.0, N=100.0)
         assert concavity_check(params, UtilityCurve(a=0.1, b=1.0), 1.0) == -1.0
 
+    def test_every_factor_scales_the_value(self):
+        # -M*gamma*b/(4*q^2) = -10*3*2/(4*5^2), at gamma != 1
+        params = MarketParams(M=10, k=0.5, gamma=3.0, N=100.0)
+        assert concavity_check(params, UtilityCurve(a=0.1, b=2.0), 5.0) == -60.0 / 100.0
+
     def test_always_nonpositive(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

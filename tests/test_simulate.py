@@ -319,13 +319,17 @@ class TestSweepValidation:
             return count_buyers(M, units, first_seed, trials)
 
         monkeypatch.setattr(module, "_count_buyers", counting)
-        with pytest.raises(ValueError, match="^Monte-Carlo profit overflows: "):
+        with pytest.raises(ValueError, match=r"^gamma = 1e\+154 \(row 1 of 2\): "
+                                             "Monte-Carlo profit overflows: ") as first:
             sweep(config, "gamma", 1e154, 1e308, 2)
-        with pytest.raises(ValueError, match="^expected profit overflows at data size "):
+        with pytest.raises(ValueError, match=r"^gamma = 1e\+308 \(row 2 of 2\): "
+                                             "expected profit overflows at data size ") as second:
             sweep(config, "gamma", 1e152, 1e308, 2)
-        with pytest.raises(ValueError, match="^expected profit overflows at data size "):
+        with pytest.raises(ValueError, match=r"^gamma = 1e\+307 \(row 1 of 2\): "
+                                             "expected profit overflows at data size ") as third:
             sweep(config, "gamma", 1e307, 1e308, 2)  # row 0 faults: nothing counts
         assert counted == [1, 1, 0]
+        assert [first.value.index, second.value.index, third.value.index] == [0, 1, 0]
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError, match="lo < hi"):

@@ -46,7 +46,7 @@ TESTS = {
     "cli": ["test_cli.py", "test_fuzz.py", "test_output_corpus.py"],
     "csvio": ["test_csvio.py", "test_cli.py", "test_fuzz.py", "test_refusal_corpus.py"],
     "fitting": ["test_fitting.py", "test_acceptance.py"],
-    "market": ["test_market.py", "test_auction.py", "test_acceptance.py"],
+    "market": ["test_market.py", "test_auction.py", "test_simulate.py", "test_acceptance.py"],
     "optimize": ["test_optimize.py", "test_acceptance.py", "test_output_corpus.py"],
     "scenario": ["test_scenario.py", "test_cli.py"],
     "simulate": ["test_simulate.py", "test_acceptance.py", "test_output_corpus.py"],
