@@ -14,7 +14,8 @@ comma by csv.field_size_limit(), which np.loadtxt ignores, with bytes.find a
 MiB at a time; in a file without quotes, such a run holds every field.
 
 Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
-line ends), but _CHUNK_ROWS rows at a time through one %-template per table,
+line ends), but _CHUNK_ROWS rows at a time: each float column's cells through
+one %-template, then the chunk's cells and separators joined by one str.join,
 with one write per chunk.  Every emitted float has the one number format,
 _FLOAT_SPEC: 6 significant digits, so outputs diff cleanly.  A str column's
 cells are written as they are, quoted where csv.writer would quote them, so a
@@ -31,7 +32,6 @@ import stat
 import warnings
 from contextlib import nullcontext
 from dataclasses import fields
-from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
@@ -272,34 +272,60 @@ def _quoted(cells, lone: bool):
             for cell in cells]
 
 
+def _rendered(kind: type, cells: list, lone: bool) -> list:
+    """A chunk of one column's cells as the str cells csv.writer would write.
+
+    Floats are formatted through one %-template split at its commas, which
+    no format_sig number holds; str cells are quoted where csv.writer would
+    quote them, and any other kind (int, bool) is written with str.
+    """
+    if issubclass(kind, float):
+        template = ",".join([f"%{_FLOAT_SPEC}"] * len(cells))
+        return (template % tuple(cells)).split(",")
+    if issubclass(kind, str):
+        return _quoted(cells, lone)
+    return list(map(str, cells))
+
+
 def write_table(header: Sequence[str], columns: Sequence, out: Destination) -> None:
     """Write a CSV table of equal-length columns to a path or an open text stream.
 
     The bytes are csv.writer's (QUOTE_MINIMAL, "\r\n" line ends) with every
-    float cell in the format_sig format.  A column's kind is its first cell's:
-    a float column is formatted, a str column quoted where csv.writer would
-    quote, and any other kind (int, bool) written with str.  Rows are rendered
-    _CHUNK_ROWS at a time through one %-template per table and written with
-    one write per chunk, so only one chunk is ever held as strings.
+    float cell in the format_sig format.  A column's kind is its first cell's
+    (see _rendered).  Rows are rendered _CHUNK_ROWS at a time, each column's
+    cells in one call, laid into one list between their separators and
+    joined, and written with one write per chunk, so only one chunk is ever
+    held as strings.  A header whose length is not the column count, or
+    columns of unequal lengths, are refused with a ValueError before out is
+    opened.
     """
-    rows = len(columns[0]) if len(columns) else 0
+    lengths = [len(column) for column in columns]
+    if len(header) != len(columns):
+        raise ValueError(f"expected one header name per column, got {len(header)} "
+                         f"for {len(columns)} columns")
+    if len(set(lengths)) > 1:
+        raise ValueError(f"expected columns of equal length, got lengths {lengths}")
+    rows = lengths[0] if lengths else 0
     kinds = [type(_cells(column, 0, 1)[0]) for column in columns] if rows else []
-    row = ",".join(f"%{_FLOAT_SPEC}" if issubclass(kind, float) else "%s"
-                   for kind in kinds) + "\r\n"
     lone = len(columns) == 1
+    width = 2 * len(columns)  # a row's cells, each followed by "," or "\r\n"
     with _opened(out) as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, rows, _CHUNK_ROWS):
-            cells = [_cells(column, start, start + _CHUNK_ROWS) for column in columns]
-            cells = [_quoted(part, lone) if issubclass(kind, str) else part
-                     for kind, part in zip(kinds, cells)]
-            fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+            cells = [_rendered(kind, _cells(column, start, start + _CHUNK_ROWS), lone)
+                     for kind, column in zip(kinds, columns)]
+            parts = [","] * (width * len(cells[0]))
+            parts[width - 1::width] = ["\r\n"] * len(cells[0])
+            for j, part in enumerate(cells):
+                parts[2 * j::width] = part
+            fh.write("".join(parts))
 
 
 def write_sweep_csv(rows: Iterable, out: Destination) -> None:
     """Write sweep result rows with the fixed sweep header."""
-    columns = zip(*([getattr(row, name) for name in SWEEP_HEADER] for row in rows))
-    write_table(SWEEP_HEADER, list(columns), out)
+    rows = list(rows)
+    columns = [[getattr(row, name) for row in rows] for name in SWEEP_HEADER]
+    write_table(SWEEP_HEADER, columns, out)
 
 
 def write_summary(summary: Mapping[str, object], out: Destination) -> None:

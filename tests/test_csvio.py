@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -738,6 +739,52 @@ class TestWriteTableAndSummary:
         path = tmp_path / "table.csv"
         write_table(("id", "x"), ((), ()), path)
         assert path.read_bytes() == b"id,x\r\n"
+
+    def test_a_table_of_no_columns_is_its_empty_header(self):
+        buf = io.StringIO()
+        write_table((), (), buf)
+        assert buf.getvalue() == csv_writer_table((), ()) == "\r\n"
+
+    @pytest.mark.parametrize("header, columns, error", [
+        (("a", "b"), ([1.0, 2.0, 3.0], ["x", "y", "z", "w"]),
+         "expected columns of equal length, got lengths [3, 4]"),
+        (("a", "b"), ([1.0, 2.0, 3.0], ["x", "y"]),
+         "expected columns of equal length, got lengths [3, 2]"),
+        (("a", "b", "c"), ([1.0, 2.0], ["x", "y"]),
+         "expected one header name per column, got 3 for 2 columns"),
+        (("a",), ([1.0], ["x"]),
+         "expected one header name per column, got 1 for 2 columns"),
+        (("a", "b"), (), "expected one header name per column, got 2 for 0 columns"),
+    ], ids=("later-longer", "later-shorter", "header-longer", "header-shorter", "no-columns"))
+    def test_a_malformed_table_is_refused_before_out_is_opened(self, tmp_path, header,
+                                                               columns, error):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError) as info:
+            write_table(header, columns, path)
+        assert str(info.value) == error
+        assert path.read_bytes() == b"kept"
+
+    def test_the_writer_holds_one_chunk(self, tmp_path):
+        # the auction table's shape: object ids, float bids and two str tail
+        # columns; rendering a chunk at a time, the writer's peak does not
+        # grow with the table's rows
+        header = ("customer_id", "bid", "allocation", "payment")
+        path = tmp_path / "table.csv"
+        peaks = []
+        for chunks in (10, 100):
+            rows = chunks * csvio._CHUNK_ROWS
+            tails = np.array([("0", "0"), ("1", "0.5")], dtype=object)
+            columns = (np.array([f"c{i}" for i in range(rows)], dtype=object),
+                       np.linspace(0.0, 1.0, rows), *tails[np.arange(rows) % 2].T)
+            tracemalloc.start()
+            try:
+                write_table(header, columns, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert path.read_bytes().count(b"\r\n") == 100 * csvio._CHUNK_ROWS + 1
+        assert peaks[1] - peaks[0] <= 1e6, peaks
 
     def test_summary_lines(self, tmp_path):
         summary = {"profit": 1288.2624543, "n": 3, "rejected": True, "ok": False}

@@ -45,7 +45,7 @@ TESTS = {
     "auction": ["test_auction.py", "test_acceptance.py"],
     "cli": ["test_cli.py", "test_fuzz.py", "test_output_corpus.py"],
     "csvio": ["test_csvio.py", "test_cli.py", "test_fuzz.py", "test_refusal_corpus.py"],
-    "fitting": ["test_fitting.py", "test_acceptance.py"],
+    "fitting": ["test_fitting.py", "test_acceptance.py", "test_output_corpus.py"],
     "market": ["test_market.py", "test_auction.py", "test_simulate.py", "test_acceptance.py"],
     "optimize": ["test_optimize.py", "test_acceptance.py", "test_output_corpus.py"],
     "scenario": ["test_scenario.py", "test_cli.py"],
