@@ -6,11 +6,16 @@ randomized commands are deterministic given --seed.
 A command handler returns (summary, table): the `key = value` summary as a
 dict, and a function writing the CSV table to a path or stream.  Either may be
 None.  --out takes the table if there is one, else the summary.
+
+cli_main parses with one parser a process, built on its first call: parsing
+leaves a parser as it was, so later calls repeat none of that work.
+build_parser() gives a fresh parser to a caller who wants to change one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from contextlib import contextmanager
@@ -175,15 +180,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser cli_main shares across its calls, built on the first."""
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
     """Dispatch a command line; returns the process exit code.
 
     Each distinct warning the command raises goes to stderr once, as
     `warning: <message>`, ahead of any error line; it never changes the code.
+
+    It may be called any number of times in one process; every call parses
+    with the one parser _parser() builds on the first.  That parser binds each
+    command's _cmd_* handler when it is built, so replacing a _cmd_* function
+    after the first call does not reach cli_main; replacing a function the
+    handlers call does.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -5,13 +5,15 @@ A reader returns a numpy structured array with one field per header name and
 one element per data row, parsed in C by one np.loadtxt call, after checking
 whole columns with the checks of the array cores that take them.  That call
 reads the file by its path, in large chunks.  A file that call refuses or
-might take wrongly, that fails a check, that holds a '"', whose name ends in
-a suffix numpy decompresses, or that is not a regular file (a pipe), is read
-by csv.reader, which only parses: the same checks, on the rows ahead of its
+might take wrongly, that holds a '"', whose name ends in a suffix numpy
+decompresses, or that is not a regular file (a pipe), is read by
+csv.reader, which only parses: the same checks, on the rows ahead of its
 first parse fault and then ahead of each faulty row they name, find the
-first faulty line.  Ahead of that, _scan bounds the runs of bytes without a
-comma by csv.field_size_limit(), which np.loadtxt ignores, with bytes.find a
-MiB at a time; in a file without quotes, such a run holds every field.
+first faulty line.  A file whose C-parsed columns fail a check is read by
+csv.reader only up to the first faulty row the checks name in them, for its
+line.  Ahead of the C pass, _scan bounds the runs of bytes without a comma
+by csv.field_size_limit(), which np.loadtxt ignores, with bytes.find a MiB
+at a time; in a file without quotes, such a run holds every field.
 
 Tables are written as csv.writer writes them (QUOTE_MINIMAL quoting, "\r\n"
 line ends), but _CHUNK_ROWS rows at a time: each float column's cells through
@@ -27,6 +29,7 @@ table's allocation and payment cells are one of two pairs, ("0", "0") and
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import stat
 import warnings
@@ -89,12 +92,13 @@ def _opened(out: Destination):
     return nullcontext(out)
 
 
-def _read_records(path, header: Sequence[str], kinds: Sequence[type]) -> tuple:
-    """(rows, lines, fault): path's data rows up to its first parse fault, as
-    tuples of _field values in header order; the file line each ends on, lines
-    in quoted fields counted; and that fault, naming path:line, else None: a
-    wrong header or field count, a bad number, a byte not UTF-8, a csv.Error
-    or no data rows."""
+def _read_records(path, header: Sequence[str], kinds: Sequence[type],
+                  limit: int | None = None) -> tuple:
+    """(rows, lines, fault): path's data rows up to its first parse fault, and
+    only its first limit rows if limit is not None, as tuples of _field values
+    in header order; the file line each ends on, lines in quoted fields
+    counted; and that fault, naming path:line, else None: a wrong header or
+    field count, a bad number, a byte not UTF-8, a csv.Error or no data rows."""
     rows, lines = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -103,7 +107,8 @@ def _read_records(path, header: Sequence[str], kinds: Sequence[type]) -> tuple:
             if first is None or [cell.strip() for cell in first] != list(header):
                 return rows, lines, ValueError(
                     f"{path}: expected header {','.join(header)!r}")
-            for row in filter(None, reader):  # a blank line is an empty row
+            # a blank line is an empty row
+            for row in itertools.islice(filter(None, reader), limit):
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 rows.append(tuple(map(_field, kinds, header, row)))
@@ -164,18 +169,48 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
     first faulty row, if columns (in header order) break a rule; lines holds
     each row's file line, or is None.  One np.loadtxt call parses the file in
     C.  A file with a suffix in _COMPRESSED, whose bytes fail _scan, whose
-    first line is not the header, or that call or check refuses, is parsed by
-    _read_records; check judges its rows, then the rows ahead of each fault
-    it names, until it passes, at most once a rule plus once.  The last fault
-    named, the first faulty row's under the first rule it breaks, is raised
-    with path:line.  If no row fails, the parse fault, if any, is raised.
+    first line is not the header, or that call refuses, is parsed by
+    _read_records.  check judges a table's rows, then the rows ahead of each
+    fault it names, until it passes, at most once a rule plus once; the last
+    fault named is the first faulty row's under the first rule it breaks.
+    If check refuses the C pass's table, _read_records reads only the rows
+    up to that table's first faulty row, for their lines; if check passes
+    those rows, as it may where the two parsers part, all rows are read.  A
+    fault check names in the rows read is raised with path:line; else the
+    parse fault, if any.
 
     np.loadtxt reads a path in large chunks but a handle line by line, so it
     is given the path, with "./" ahead of a relative one so that numpy reads
     no URL scheme into it (os.path.abspath would resolve "link/.." wrongly).
     """
     dtype = np.dtype(list(zip(header, kinds)))
+
+    def first_fault(table, lines) -> tuple:
+        """(failure, n): check's error naming table's first faulty row n,
+        else (None, len(table))."""
+        failure, n = None, len(table)
+        while True:  # check the rows ahead of the last fault found, until none fails
+            try:
+                check(lines and lines[:n], *(table[field][:n] for field in header))
+                return failure, n
+            except ValueError as exc:
+                failure, n = exc, exc.index
+
+    def read_rows(limit) -> np.ndarray:
+        """_read_records' first limit rows (all if None) as a table, once
+        check takes them; else check's fault, with path:line, or the parse
+        fault."""
+        rows, lines, fault = _read_records(path, header, kinds, limit)
+        table = np.array(rows, dtype)
+        failure, n = first_fault(table, lines)
+        if failure is not None:
+            raise ValueError(f"{path}:{lines[n]}: {failure}")
+        if fault is not None:
+            raise fault
+        return table
+
     name = os.path.join(os.curdir, os.fsdecode(path))
+    limit = None  # the rows the row reader reads: all, or up to the C pass's fault
     # a pipe fails _scan unread: it can be read only once, by the row reader
     if os.path.splitext(name)[1] not in _COMPRESSED and _scan(path):
         try:
@@ -186,24 +221,15 @@ def _read_table(path, header: Sequence[str], kinds: Sequence[type],
                     table = np.loadtxt(name, dtype, comments=None, delimiter=",",
                                        ndmin=1, skiprows=1, encoding="utf-8")
                     if len(table):
-                        check(None, *(table[field] for field in header))
-                        return table
+                        failure, n = first_fault(table, None)
+                        if failure is None:
+                            return table
+                        limit = n + 1
         except ValueError:  # any fault; UnicodeDecodeError is a ValueError
             pass
-    rows, lines, fault = _read_records(path, header, kinds)
-    table = np.array(rows, dtype)
-    failure, n = None, len(table)
-    while True:  # check the rows ahead of the last fault found, until none fails
-        try:
-            check(lines[:n], *(table[field][:n] for field in header))
-            break
-        except ValueError as exc:
-            failure, n = exc, exc.index
-    if failure is not None:
-        raise ValueError(f"{path}:{lines[n]}: {failure}")
-    if fault is not None:
-        raise fault
-    return table
+    if limit is not None:  # raises, unless the parsers part and check takes these rows
+        read_rows(limit)
+    return read_rows(None)
 
 
 def _field(kind: type, name: str, cell: str):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -230,6 +231,53 @@ class TestColumnPath:
         for name, (_, reader) in self.FILES.items():
             assert len(reader(files / name)) == 3
         assert row_reads == []
+
+    @pytest.fixture
+    def rows_read(self, monkeypatch):
+        """The rows each row reader call returns while the test runs."""
+        counts = []
+
+        def counting(*args, read=csvio._read_records):
+            rows, lines, fault = read(*args)
+            counts.append(len(rows))
+            return rows, lines, fault
+
+        monkeypatch.setattr(csvio, "_read_records", counting)
+        return counts
+
+    # the C pass names the first faulty row n; only rows 0..n are read again,
+    # for their lines, and a repeated id's message still names its first line
+    @pytest.mark.parametrize("n, row, error", [
+        (0, "c0,-1", "bid: must be non-negative and finite, got -1.0"),
+        (7, "c7,-1", "bid: must be non-negative and finite, got -1.0"),
+        (1, "c0,1", "duplicate customer_id 'c0', first on line 2"),
+        (40, "c3,1", "duplicate customer_id 'c3', first on line 5"),
+    ])
+    def test_a_refused_file_is_read_again_up_to_its_first_fault(self, tmp_path,
+                                                               rows_read, n, row, error):
+        rows = [f"c{i},1" for i in range(50)]
+        rows[n] = row
+        path = tmp_path / "bids.csv"
+        path.write_text("customer_id,bid\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            csvio.read_bids(path)
+        assert str(info.value) == f"{path}:{n + 2}: {error}"
+        assert rows_read == [n + 1]
+
+    def test_rows_only_the_c_pass_refuses_are_all_read_again(self, files, rows_read,
+                                                              monkeypatch):
+        # where the two parsers part, the row reader's rows up to the C pass's
+        # fault pass the check, so it reads every row and its table is taken
+        loadtxt = np.loadtxt
+
+        def parting(*args, **kwargs):
+            table = loadtxt(*args, **kwargs)
+            table["bid"][1] = -1.0
+            return table
+
+        monkeypatch.setattr(np, "loadtxt", parting)
+        assert csvio.read_bids(files / "bids.csv")["bid"].tolist() == [0.6, 0.3, 0.1]
+        assert rows_read == [2, 3]
 
     def test_a_refused_file_is_read_again_row_by_row(self, files, row_reads):
         # the counting hook sees the row path, so the tests above can fail
@@ -630,6 +678,58 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "simulate", boom)
         assert cli_main(["simulate", "--config", scenario_file]) == 2
         assert "internal error" in capsys.readouterr().err
+
+
+class TestOneParser:
+    """cli_main parses with one parser a process: a call leaves it as it was,
+    and a caller's own parser from build_parser() is its own."""
+
+    def test_a_second_call_builds_no_parser(self, scenario_file, monkeypatch, capsys):
+        argv = ["optimize", "--config", scenario_file]
+        assert cli_main(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert cli_main(argv) == 0
+        assert built == []
+        assert capsys.readouterr().out.count("q_star = ") == 2
+
+    def test_no_call_carries_state_to_the_next(self, tmp_path, scenario_file, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("q,performance\n1,0.49\n100,0.53\n", encoding="utf-8")
+        argvs = [[], ["--help"], ["fit", "--points", str(points)],
+                 ["optimize", "--config", scenario_file, "--fast"],
+                 ["simulate", "--config", scenario_file, "--trials", "2", "--seed", "3"],
+                 []]
+
+        def run(argv):
+            code = cli_main(argv)
+            return (code, *capsys.readouterr())
+
+        shared = [run(argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [1, 0, 0, 1, 0, 1]
+
+    def test_a_callers_parser_is_its_own(self, scenario_file, capsys):
+        mine = cli.build_parser()
+        assert cli.build_parser() is not mine
+        commands, = (action for action in mine._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        commands.choices["optimize"].set_defaults(func=lambda args: ({"mine": 1}, None))
+        mine.add_argument("--extra")
+        assert cli_main(["optimize", "--config", scenario_file]) == 0
+        assert "q_star = " in capsys.readouterr().out
+        assert cli_main(["--extra", "1", "optimize", "--config", scenario_file]) == 1
+        assert "usage" in capsys.readouterr().err
 
 
 class TestWarnings:

@@ -661,20 +661,20 @@ def test_a_repeated_id_names_both_lines_at_every_position(tmp_path):
 
 
 # on the failure path only: with n rows whose last is the only fault, the
-# column check runs once in the C pass, once on all rows, and once on the rows
-# ahead of the fault, which pass
+# column check runs on all rows and on the rows ahead of the fault, which
+# pass, twice: on the C pass's table, then on the rows read for their lines
 @pytest.mark.parametrize("reader, core", [
     (read_bids, "_checked_bids"), (read_predictions, "_checked_predictions"),
     (read_experiment_points, "_checked_points"),
 ], ids=("bids", "predictions", "points"))
-def test_a_lone_fault_takes_three_checks(tmp_path, reader, core):
+def test_a_lone_fault_takes_four_checks(tmp_path, reader, core):
     n = 10**4
     path = tmp_path / "last.csv"
     path.write_bytes(numbered(reader, [False] * (n - 1) + [True]))
     with (mock.patch.object(csvio, core, wraps=getattr(csvio, core)) as check,
           pytest.raises(ValueError, match=rf"last\.csv:{n + 1}: ")):
         reader(path)
-    assert [len(call.args[0]) for call in check.call_args_list] == [n, n, n - 1]
+    assert [len(call.args[0]) for call in check.call_args_list] == [n, n - 1] * 2
 
 
 # faults of two rules: the earlier row's line and message win, whichever rule
