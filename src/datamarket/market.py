@@ -321,13 +321,19 @@ _UNITS = 2**53
 # the most raw outputs a run holds at once: 0.5 MB, whatever M is and however
 # many threads count it
 _CHUNK = 65536
-# A run counts on several threads only where that was measured to win (an
-# alternating-call grid on a 2-vCPU VM, in CHANGES.md): at M >= _SPLIT_M
-# draws a trial and _SPLIT_DRAWS draws a thread or more.  Below them the work
-# each trial does while holding the GIL (seeding its generator, and taking the
-# GIL back after random_raw, the compare and the count) outweighs the second CPU.
+# A run counts on several threads only where that was measured to win: at
+# M >= _SPLIT_M draws a trial and _SPLIT_DRAWS draws a thread or more.  The
+# grid (2-vCPU VM, in CHANGES.md): M in {1e4, 2e4, 1e5} x {2.5e5, 5e5, 1e6,
+# 2e6} draws a run, one part against two, 150 alternating in-process calls a
+# cell with pure-Python work between calls, four sessions.  Two parts lost
+# every cell of 2.5e5 draws (won 2-9 of 150) and most of 5e5 (won 31-91);
+# they won every cell of 1e6 draws (91-127 of 150, p90 lower in all 12) and
+# of 2e6.  Below the floors the work each trial does while holding the GIL
+# (seeding its generator, and taking the GIL back after random_raw, the
+# compare and the count) outweighs the second CPU, as it did at M <= 5000 in
+# earlier grids (0.55-0.83x).
 _SPLIT_M = 10_000
-_SPLIT_DRAWS = 1_500_000
+_SPLIT_DRAWS = 500_000
 
 
 def _unit_threshold(support_max: float, price: float) -> int:
@@ -367,7 +373,8 @@ def _cpus() -> int:
 def _parts(M: int, seeds: int) -> int:
     """How many threads count a run of seeds trials of M draws each: one a
     CPU, as long as each gets a trial and _SPLIT_DRAWS draws, and one only
-    below M = _SPLIT_M."""
+    below M = _SPLIT_M.  The taxi simulate, 100 trials of M = 10**4, is
+    counted on two threads where two CPUs are free."""
     if M < _SPLIT_M:
         return 1
     return max(1, min(_cpus(), seeds, M * seeds // _SPLIT_DRAWS))
@@ -383,7 +390,9 @@ def _count_buyers(M: int, units, first_seed: int, trials: int) -> np.ndarray:
     draws nothing and counts 0.
 
     The drawn seeds are cut into _parts contiguous parts: the caller's thread
-    counts the first and one more thread each of the rest.  Each part draws
+    counts the first and one more thread each of the rest, or the caller's
+    thread too, after the first, if the system refuses that thread.  Every
+    started thread is joined before this returns or raises.  Each part draws
     its raw outputs a chunk of at most _CHUNK // parts at a time, so the run
     holds at most _CHUNK.  A part seeds each run of adjacent rows, whose seeds
     are adjacent, as one stream hashed in whole blocks.  A fault in any part is
@@ -420,11 +429,18 @@ def _count_buyers(M: int, units, first_seed: int, trials: int) -> np.ndarray:
         except Exception as exc:  # raised in the caller's thread
             faults[part] = exc
 
-    threads = [threading.Thread(target=count, args=(part,)) for part in range(1, parts)]
-    for thread in threads:
-        thread.start()
+    threads, here = [], [0]  # here: the parts counted on the caller's thread
     try:
-        count(0)
+        for part in range(1, parts):
+            thread = threading.Thread(target=count, args=(part,))
+            try:
+                thread.start()
+            except RuntimeError:  # can't start new thread
+                here.append(part)
+            else:
+                threads.append(thread)
+        for part in here:
+            count(part)
     finally:
         for thread in threads:
             thread.join()

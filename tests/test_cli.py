@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import datamarket
-from datamarket import cli, csvio, taxi_scenario_path
+from datamarket import cli, csvio, market, taxi_scenario_path
 from datamarket.cli import cli_main
 
 SCENARIO = """M = 300
@@ -320,6 +321,22 @@ class TestSimulate:
         first = capsys.readouterr().out
         assert cli_main(["simulate", "--config", scenario_file]) == 0
         assert capsys.readouterr().out == first
+
+    def test_a_refused_thread_prints_what_one_thread_does(self, monkeypatch, capsys):
+        # 400 taxi trials, 4e6 draws, split on two CPUs; with no thread to be
+        # had, the caller's thread counts both parts
+        argv = ["simulate", "--config", str(taxi_scenario_path()), "--trials", "400"]
+        monkeypatch.setattr(market, "_cpus", lambda: 1)
+        assert cli_main(argv) == 0
+        serial = capsys.readouterr()
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(market, "_cpus", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert cli_main(argv) == 0
+        assert capsys.readouterr() == serial
 
     @pytest.mark.parametrize("command", [
         ["simulate"],

@@ -943,6 +943,36 @@ class TestSplitThreads:
         assert market._parts(M, seeds) == 2 and market._parts(M, 8 * seeds) == 8
         assert market._parts(M, 100 * seeds) == 8
 
+    def test_the_taxi_run_splits_and_a_quarter_of_it_does_not(self, monkeypatch):
+        # the floors as measured: 10**6 draws at M = 10**4 (the taxi
+        # simulate) split in two; 2.5e5 draws, which two threads lost, do not
+        monkeypatch.setattr(market, "_cpus", lambda: 2)
+        assert market._parts(10**4, 100) == 2
+        assert market._parts(10**4, 25) == 1
+
+    @pytest.mark.parametrize("parts, refused", [(2, 1), (4, 2)])
+    def test_a_part_whose_thread_is_refused_is_counted_here(self, parts, refused,
+                                                           monkeypatch):
+        # the refused-th thread does not start; the caller's thread counts
+        # its part, and every thread that did start is joined
+        units = [_UNITS // 2, _UNITS // 3]
+        with split_into(1):
+            serial = _count_buyers(30, units, 5, 6)
+        before, start, starts = threading.active_count(), threading.Thread.start, []
+
+        def refusing(thread):
+            starts.append(thread)
+            if len(starts) == refused:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", refusing)
+        with split_into(parts):
+            counts = _count_buyers(30, units, 5, 6)
+        assert len(starts) == parts - 1
+        assert threading.active_count() == before
+        assert counts.tolist() == serial.tolist()
+
     def test_cpus_are_those_the_process_may_run_on(self, monkeypatch):
         assert market._cpus() == len(os.sched_getaffinity(0))
         # this process's set (pid 0), not another process's

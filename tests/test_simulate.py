@@ -77,6 +77,17 @@ class TestSimulate:
         assert profits.mean() == report.empirical_mean
         assert profits.std(ddof=1) == report.empirical_std
 
+    def test_the_taxi_run_split_in_two_reports_what_one_thread_does(self, monkeypatch):
+        # the floors as they are: the taxi run, 10**6 draws, splits on two CPUs
+        configs = [replace(taxi_scenario(), seed=seed) for seed in range(8)]
+        reports = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(market, "_cpus", lambda: cpus)
+            assert market._parts(configs[0].M, configs[0].trials) == cpus
+            reports[cpus] = [(report.empirical_mean.hex(), report.empirical_std.hex())
+                             for report in map(simulate, configs)]
+        assert reports[2] == reports[1]
+
     def test_agrees_with_analytic_expectation(self):
         config = small_config(M=2000, trials=60)
         report = simulate(config)

@@ -16,6 +16,14 @@ Usage, from the root of a checkout:
 
     python3 tools/mutants.py                  # every module
     python3 tools/mutants.py optimize market  # only these modules
+    python3 tools/mutants.py --check market   # exit 1 on a mutant not in the baseline
+
+The baseline, tools/mutants_baseline.json, lists every mutant known to
+survive or time out, each with its module, the mutated line's source text,
+`old -> new`, its verdict and the reason it is let stand.  An entry is keyed
+by the line's text, not by its place, so edits elsewhere in a module keep it.
+With --check, any survivor or timeout the baseline does not list fails the
+run.
 
 It is slow (one pytest run per mutant) and not part of the test suite.
 """
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import shutil
 import subprocess
@@ -35,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "datamarket"
+BASELINE = Path(__file__).resolve().parent / "mutants_baseline.json"
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 # the test files run against a mutant of each module: its own, and those
@@ -115,6 +125,14 @@ def mutants(path: Path) -> list[tuple[str, int, int, str]]:
     return sorted(found, key=lambda mutant: mutant[1])
 
 
+def baseline_key(module: str, place: str) -> tuple[str, str, str]:
+    """(module, the mutated line's stripped source, `old -> new`) of a mutant
+    at place, `line:column: old -> new`, in the unmutated module."""
+    line, _, change = place.split(":", 2)
+    source = (ROOT / PACKAGE / f"{module}.py").read_text().splitlines()
+    return module, source[int(line) - 1].strip(), change.strip()
+
+
 def run_tests(copy: Path, tests: list[str], timeout: float) -> bool | None:
     """Whether the tests pass in copy, or None if they outrun timeout seconds."""
     # python -m puts the copy's root, which holds PLUGIN, on sys.path
@@ -134,6 +152,8 @@ def run_tests(copy: Path, tests: list[str], timeout: float) -> bool | None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="*", help="module names (default: all)")
+    parser.add_argument("--check", action="store_true",
+                        help=f"exit 1 on a survivor or timeout not listed in {BASELINE.name}")
     args = parser.parse_args()
     modules = args.modules or sorted(path.stem for path in (ROOT / PACKAGE).glob("*.py"))
     unknown = sorted(set(modules) - set(TESTS))
@@ -142,7 +162,9 @@ def main() -> int:
 
     plan = [(module, *mutant) for module in modules
             for mutant in mutants(ROOT / PACKAGE / f"{module}.py")]
-    survivors, timed_out = [], 0
+    survivors, timed_out, unlisted = [], 0, []
+    listed = {(entry["module"], entry["line"], entry["mutation"], entry["verdict"])
+              for entry in json.loads(BASELINE.read_text())}
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -169,6 +191,9 @@ def main() -> int:
             if survived:
                 survivors.append(name)
             timed_out += survived is None
+            if survived is not False and (*baseline_key(module, place),
+                                          verdict.lower()) not in listed:
+                unlisted.append(f"{verdict.lower()} {name}")
     killed = len(plan) - len(survivors) - timed_out
     print(f"\nsurvivors ({len(survivors)}):")
     for name in survivors:
@@ -176,7 +201,10 @@ def main() -> int:
     print(f"score: {killed} killed, {timed_out} timed out, of {len(plan)}"
           f" ({100.0 * (killed + timed_out) / len(plan):.1f}% not survived)"
           if plan else "score: no mutants")
-    return 0
+    print(f"not in {BASELINE.name} ({len(unlisted)}):")
+    for name in unlisted:
+        print(f"  {name}")
+    return 1 if args.check and unlisted else 0
 
 
 if __name__ == "__main__":
