@@ -323,9 +323,9 @@ class TestSimulate:
         assert capsys.readouterr().out == first
 
     def test_a_refused_thread_prints_what_one_thread_does(self, monkeypatch, capsys):
-        # 400 taxi trials, 4e6 draws, split on two CPUs; with no thread to be
+        # 100 taxi trials, 1e6 draws, split on two CPUs; with no thread to be
         # had, the caller's thread counts both parts
-        argv = ["simulate", "--config", str(taxi_scenario_path()), "--trials", "400"]
+        argv = ["simulate", "--config", str(taxi_scenario_path()), "--trials", "100"]
         monkeypatch.setattr(market, "_cpus", lambda: 1)
         assert cli_main(argv) == 0
         serial = capsys.readouterr()

@@ -939,16 +939,12 @@ class TestSplitThreads:
         assert market._parts(M, seeds - 1) == 1
         assert market._parts(M - 1, 10**6) == 1
         assert market._parts(10**9, 1) == 1  # a part counts whole trials
+        # the floors as measured: the taxi simulate splits; 2.5e5 draws do not
+        assert market._parts(10**4, 100) == 2
+        assert market._parts(10**4, 25) == 1
         monkeypatch.setattr(market, "_cpus", lambda: 8)
         assert market._parts(M, seeds) == 2 and market._parts(M, 8 * seeds) == 8
         assert market._parts(M, 100 * seeds) == 8
-
-    def test_the_taxi_run_splits_and_a_quarter_of_it_does_not(self, monkeypatch):
-        # the floors as measured: 10**6 draws at M = 10**4 (the taxi
-        # simulate) split in two; 2.5e5 draws, which two threads lost, do not
-        monkeypatch.setattr(market, "_cpus", lambda: 2)
-        assert market._parts(10**4, 100) == 2
-        assert market._parts(10**4, 25) == 1
 
     @pytest.mark.parametrize("parts, refused", [(2, 1), (4, 2)])
     def test_a_part_whose_thread_is_refused_is_counted_here(self, parts, refused,

@@ -15,7 +15,7 @@ def load_tool():
 
 
 def test_every_baseline_entry_is_a_mutant_the_tool_makes():
-    # an edit to a listed line must carry its entry along, or --check would
+    # an edit to a listed line must carry its entry along, or the tool would
     # fail on the mutant under its new text
     tool = load_tool()
     entries = json.loads(tool.BASELINE.read_text())

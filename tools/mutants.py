@@ -16,14 +16,12 @@ Usage, from the root of a checkout:
 
     python3 tools/mutants.py                  # every module
     python3 tools/mutants.py optimize market  # only these modules
-    python3 tools/mutants.py --check market   # exit 1 on a mutant not in the baseline
 
 The baseline, tools/mutants_baseline.json, lists every mutant known to
 survive or time out, each with its module, the mutated line's source text,
 `old -> new`, its verdict and the reason it is let stand.  An entry is keyed
 by the line's text, not by its place, so edits elsewhere in a module keep it.
-With --check, any survivor or timeout the baseline does not list fails the
-run.
+Any survivor or timeout the baseline does not list fails the run (exit 1).
 
 It is slow (one pytest run per mutant) and not part of the test suite.
 """
@@ -152,8 +150,6 @@ def run_tests(copy: Path, tests: list[str], timeout: float) -> bool | None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="*", help="module names (default: all)")
-    parser.add_argument("--check", action="store_true",
-                        help=f"exit 1 on a survivor or timeout not listed in {BASELINE.name}")
     args = parser.parse_args()
     modules = args.modules or sorted(path.stem for path in (ROOT / PACKAGE).glob("*.py"))
     unknown = sorted(set(modules) - set(TESTS))
@@ -204,7 +200,7 @@ def main() -> int:
     print(f"not in {BASELINE.name} ({len(unlisted)}):")
     for name in unlisted:
         print(f"  {name}")
-    return 1 if args.check and unlisted else 0
+    return 1 if unlisted else 0
 
 
 if __name__ == "__main__":
